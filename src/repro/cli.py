@@ -39,7 +39,7 @@ Store maintenance::
 
 ``store gc`` deletes grids older than ``--keep-days``, variants no
 surviving grid manifest references, orphaned shard checkpoints, and
-stale coefficient-cache rows, then runs ``VACUUM`` (the store
+stale coefficient-cache and fitted-model rows, then runs ``VACUUM`` (the store
 otherwise only ever grows).  See the "Service layer" section of
 ``docs/ARCHITECTURE.md``.
 """
@@ -211,7 +211,8 @@ def _run_store_gc(args: argparse.Namespace) -> int:
           f"{report['shards_deleted']} shard checkpoints, "
           f"{report['leases_deleted']} expired leases, "
           f"{report['coeff_deleted']} coeff-cache rows, "
-          f"{report['coeff_netlists_deleted']} coeff netlists "
+          f"{report['coeff_netlists_deleted']} coeff netlists, "
+          f"{report['fitted_models_deleted']} fitted models "
           f"(keep-days: {report['keep_days']:g}); "
           f"db {report['db_bytes_before']} -> "
           f"{report['db_bytes_after']} bytes")

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..core.multiplier_area import BespokeMultiplierLibrary, default_library
 from ..hw.area import area_mm2
@@ -56,6 +55,10 @@ def run(n_circuits: int = 1000, seed: int = 7,
         proxy[index] = library.sum_area(coefficients, input_bits)
         netlist = build_weighted_sum_netlist(coefficients, input_bits)
         synthesized[index] = area_mm2(netlist)
+    # scipy is needed by this experiment only; importing it here keeps
+    # it off every other process's start-up path.
+    from scipy import stats
+
     result = stats.pearsonr(proxy, synthesized)
     return ProxyStudy(proxy, synthesized, float(result.statistic),
                       float(result.pvalue))

@@ -3,14 +3,16 @@
 One :class:`CircuitCase` per (dataset, model kind) pair, with the paper's
 topologies (Table I): MLP hidden sizes 3/5/2/4 for cardio / pendigits /
 redwine / whitewine, linear SVMs with per-class score units.  Training is
-deterministic (fixed seeds) and results are cached per process, so every
-experiment and benchmark shares the same trained and quantized models.
+deterministic (fixed seeds), so every experiment and benchmark shares the
+same trained and quantized models.  Cases are memoized per process, and
+:func:`get_case` given a design store also caches the *fitted* model
+there (the ``fitted_models`` table): a fresh process that finds its
+model in the store loads it bit-exactly instead of retraining.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ..datasets import Split, load_dataset
 from ..ml import (
@@ -55,7 +57,7 @@ class CircuitCase:
         return self.float_model.score(self.split.X_test, self.split.y_test)
 
 
-def _train(dataset: str, kind: str, split: Split):
+def _estimator(dataset: str, kind: str):
     hidden = HIDDEN_UNITS[dataset]
     if kind == "mlp_c":
         model = MLPClassifier(hidden_layer_sizes=(hidden,),
@@ -69,20 +71,53 @@ def _train(dataset: str, kind: str, split: Split):
         model = LinearSVMRegressor(seed=_TRAIN_SEED)
     else:
         raise ValueError(f"unknown model kind {kind!r}; use {MODEL_KINDS}")
-    return model.fit(split.X_train, split.y_train)
+    return model
 
 
-@lru_cache(maxsize=None)
-def get_case(dataset: str, kind: str) -> CircuitCase:
-    """Train (once per process) and quantize one circuit case."""
-    split = load_dataset(dataset).standard_split(seed=_SPLIT_SEED)
-    float_model = _train(dataset, kind, split)
-    quant_model = quantize_model(float_model)
+def _train(model, split: Split, store):
+    """``model`` fitted on the split's training data, via ``store``.
+
+    A stored state that fails to load (corrupt, or from a buggy writer)
+    counts as a miss: the model is refit and the row replaced, so the
+    result is always exactly what ``fit`` produces.
+    """
+    X, y = split.X_train, split.y_train
+    if store is None:
+        return model.fit(X, y)
+    key = model.fit_key(X, y)
+    state = store.get_fitted_model(key)
+    if state is not None:
+        try:
+            return model.load_fitted_state(state)
+        except ValueError:
+            pass
+    model.fit(X, y)
+    store.put_fitted_model(key, model.fitted_state())
+    return model
+
+
+_CASES: dict[tuple[str, str], CircuitCase] = {}
+
+
+def get_case(dataset: str, kind: str, store=None) -> CircuitCase:
+    """One trained and quantized circuit case, memoized per process.
+
+    On a memo miss, ``store`` (a :class:`~repro.service.store.
+    DesignStore` or any object with its ``get_fitted_model`` /
+    ``put_fitted_model`` pair) is tried for the fitted model before
+    training, and a fresh fit is put there.
+    """
     key = (dataset, kind)
-    return CircuitCase(
+    case = _CASES.get(key)
+    if case is not None:
+        return case
+    split = load_dataset(dataset).standard_split(seed=_SPLIT_SEED)
+    float_model = _train(_estimator(dataset, kind), split, store)
+    case = CircuitCase(
         dataset=dataset, kind=kind, label=CASE_LABELS[key], split=split,
-        float_model=float_model, quant_model=quant_model,
+        float_model=float_model, quant_model=quantize_model(float_model),
         clock_ms=PAPER_CLOCK_MS[key], excluded=key in EXCLUDED_CASES)
+    return _CASES.setdefault(key, case)
 
 
 def case_keys(include_excluded: bool = False) -> list[tuple[str, str]]:

@@ -157,6 +157,10 @@ class MLPClassifier(_BaseMLP):
     model and circuit agree by construction once quantized.
     """
 
+    _fitted_schema = {"coefs_": "[<f8:2]", "intercepts_": "[<f8:1]",
+                      "loss_curve_": "[float]", "classes_": "*:1",
+                      "n_classes_": "int"}
+
     def _n_outputs(self, y: np.ndarray) -> int:
         self.classes_ = np.unique(y)
         self.n_classes_ = len(self.classes_)
@@ -195,6 +199,11 @@ class MLPRegressor(_BaseMLP):
     after rounding, so regressors compare directly against classifiers in
     Table I.
     """
+
+    _fitted_schema = {"coefs_": "[<f8:2]", "intercepts_": "[<f8:1]",
+                      "loss_curve_": "[float]", "y_min_": "int",
+                      "y_max_": "int", "_y_mean": "float",
+                      "_y_std": "float"}
 
     def _n_outputs(self, y: np.ndarray) -> int:
         self.y_min_ = int(np.floor(np.min(y)))

@@ -70,6 +70,9 @@ class LinearSVMClassifier(BaseEstimator):
         seed: initialization seed.
     """
 
+    _fitted_schema = {"classes_": "*:1", "coef_": "<f8:2",
+                      "intercept_": "<f8:1"}
+
     def __init__(self, C: float = 1.0, lr: float = 0.05,
                  max_epochs: int = 600, seed: int = 0) -> None:
         self.C = C
@@ -126,6 +129,9 @@ class LinearSVMClassifier(BaseEstimator):
 
 class LinearSVMRegressor(BaseEstimator):
     """Linear epsilon-insensitive support vector regression."""
+
+    _fitted_schema = {"y_min_": "int", "y_max_": "int", "coef_": "<f8:1",
+                      "intercept_": "float"}
 
     def __init__(self, C: float = 1.0, epsilon: float = 0.1, lr: float = 0.05,
                  max_epochs: int = 600, seed: int = 0) -> None:

@@ -352,6 +352,16 @@ class RemoteStore:
         data = self._call("GET", f"/v1/coeff-netlists/{key}/fingerprint")
         return None if data is None else data["fingerprint"]
 
+    # -- fitted models -------------------------------------------------
+    # Fleet workers are long-lived and fit once per process, so the
+    # coordinator serves no models: every lookup misses, nothing is sent.
+
+    def get_fitted_model(self, key: str) -> None:
+        return None
+
+    def put_fitted_model(self, key: str, state: dict) -> None:
+        pass
+
     # -- fleet hooks ---------------------------------------------------
 
     def make_lease_manager(self, grid_key: str, worker: str,

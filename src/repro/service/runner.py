@@ -179,6 +179,11 @@ class ExplorationService:
         self._netlists: dict[tuple, tuple] = {}
         self._base_keys: dict[tuple, str] = {}
 
+    def _case(self, dataset: str, model: str):
+        """The zoo circuit, its fitted model cached in this store."""
+        from ..experiments.zoo import get_case  # heavy import, deferred
+        return get_case(dataset, model, store=self.store)
+
     def _evaluator(self, dataset: str, model: str) -> CircuitEvaluator:
         """The per-(dataset, model) scoring context, cached per process.
 
@@ -190,8 +195,7 @@ class ExplorationService:
         cached = self._evaluators.get(key)
         if cached is not None:
             return cached
-        from ..experiments.zoo import get_case  # heavy import, deferred
-        case = get_case(dataset, model)
+        case = self._case(dataset, model)
         split = case.split
         evaluator = CircuitEvaluator.from_split(
             case.quant_model, split.X_train, split.X_test, split.y_test,
@@ -212,8 +216,7 @@ class ExplorationService:
         cached = self._netlists.get(key)
         if cached is not None:
             return cached
-        from ..experiments.zoo import get_case  # heavy import, deferred
-        case = get_case(request.dataset, request.model)
+        case = self._case(request.dataset, request.model)
         model = case.quant_model
         name = f"{request.dataset}_{request.model}_{request.base}"
         if request.base == "coeff":
@@ -284,8 +287,7 @@ class ExplorationService:
         base_key = None
         if request.base == "coeff" \
                 and cache_key[:4] not in self._netlists:
-            from ..experiments.zoo import get_case
-            model = get_case(request.dataset, request.model).quant_model
+            model = self._case(request.dataset, request.model).quant_model
             e = _DEFAULT_E if request.e is None else request.e
             approximator = CoefficientApproximator(
                 library=default_library(), e=e)

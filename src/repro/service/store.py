@@ -10,7 +10,11 @@ repeated or overlapping explorations become lookups:
   design list;
 * **shards** — checkpoints of in-flight explorations (see
   :mod:`repro.service.jobs`): a killed run resumes from the last
-  finished shard and deletes its checkpoints once the grid lands.
+  finished shard and deletes its checkpoints once the grid lands;
+* **fitted_models** — trained estimators' learned attributes, keyed by
+  :meth:`~repro.ml.base.BaseEstimator.fit_key`, so a process that finds
+  its answer in the store does not retrain (see
+  :func:`~repro.experiments.zoo.get_case`).
 
 Hash contract
 -------------
@@ -88,6 +92,8 @@ __all__ = [
 #    counter): a reclaimed worker's late shard upload is rejected with
 #    :class:`FencedWriteError` instead of silently landing — the
 #    write-safety half of the multi-host coordinator protocol.
+# The fitted_models table came later without a bump: it is additive
+# (created on open, ignored by older builds) and changes no other key.
 STORE_FORMAT = 5
 
 _SCHEMA = """
@@ -140,6 +146,13 @@ CREATE TABLE IF NOT EXISTS shard_leases (
     created_at REAL NOT NULL,
     token      INTEGER NOT NULL DEFAULT 0,
     PRIMARY KEY (grid_key, shard)
+);
+CREATE TABLE IF NOT EXISTS fitted_models (
+    key        TEXT PRIMARY KEY,
+    state      TEXT NOT NULL,
+    digest     TEXT NOT NULL,
+    hits       INTEGER NOT NULL DEFAULT 0,
+    created_at REAL NOT NULL
 );
 """
 
@@ -451,6 +464,18 @@ def build_coeff_netlist_cached(approximator, model, store: "DesignStore",
     if build_cache is not None:
         build_cache[key] = (payload, fingerprint)
     return netlist, False
+
+
+def _verified_state(blob, digest) -> dict | None:
+    """A fitted_models row's state if its bytes match its digest."""
+    if not isinstance(blob, bytes) or not isinstance(digest, bytes) \
+            or hashlib.sha256(blob).hexdigest().encode() != digest:
+        return None
+    try:
+        state = json.loads(blob)
+    except (ValueError, RecursionError):
+        return None
+    return state if isinstance(state, dict) else None
 
 
 def design_from_dict(data: dict) -> PrunedDesign:
@@ -924,6 +949,38 @@ class DesignStore:
             (key,)).fetchone())
         return None if row is None else row[0]
 
+    # -- fitted models -------------------------------------------------
+
+    def get_fitted_model(self, key: str) -> dict | None:
+        """A stored estimator state (JSON object), or ``None``.
+
+        Rows are untrusted input: one whose bytes no longer match their
+        SHA-256 digest, or that is not a JSON object, reads as a miss —
+        the caller refits and :meth:`put_fitted_model` replaces it.
+        Structural checks of the state itself belong to
+        :meth:`~repro.ml.base.BaseEstimator.load_fitted_state`.
+        """
+        def read(con):
+            row = con.execute(
+                "SELECT CAST(state AS BLOB), CAST(digest AS BLOB) "
+                "FROM fitted_models WHERE key=?", (key,)).fetchone()
+            state = None if row is None else _verified_state(*row)
+            if state is not None:
+                self._count_hit(con, "fitted_models", key)
+            return state
+        state = self._with_connection(read)
+        self._count_lookup("fitted_models", state)
+        return state
+
+    def put_fitted_model(self, key: str, state: dict) -> None:
+        """Store (or replace a corrupt) fitted state under ``key``."""
+        text = canonical_json(state)
+        self._with_connection(lambda con: con.execute(
+            "INSERT OR REPLACE INTO fitted_models"
+            "(key, state, digest, created_at) VALUES (?,?,?,?)",
+            (key, text, hashlib.sha256(text.encode()).hexdigest(),
+             time.time())))
+
     # -- garbage collection --------------------------------------------
 
     def gc(self, keep_days: float = 30.0, dry_run: bool = False,
@@ -944,8 +1001,9 @@ class DesignStore:
           netlist survives while any surviving grid was explored on it
           (deleting it would turn those grids' warm re-sweeps back
           into rebuilds);
-        * orphaned **shard checkpoints** and **coefficient-cache** rows
-          older than the cutoff are dropped.
+        * orphaned **shard checkpoints**, **coefficient-cache** rows
+          and **fitted models** older than the cutoff are dropped (a
+          fitted model is refit on its next use).
 
         ``dry_run`` only reports what would be deleted.  ``now`` is an
         injectable clock for tests.  The report carries the database
@@ -985,6 +1043,9 @@ class DesignStore:
             stale_coeff = con.execute(
                 "SELECT COUNT(*) FROM coeff_cache WHERE created_at < ?",
                 (cutoff,)).fetchone()[0]
+            stale_fitted = con.execute(
+                "SELECT COUNT(*) FROM fitted_models WHERE created_at < ?",
+                (cutoff,)).fetchone()[0]
             live_coeff_netlists = {row[0] for row in con.execute(
                 "SELECT json_extract(meta, '$.coeff_netlist_key') "
                 "FROM grids WHERE created_at >= ?", (cutoff,)) if row[0]}
@@ -1001,7 +1062,8 @@ class DesignStore:
                           shards_deleted=stale_shards,
                           leases_deleted=stale_leases,
                           coeff_deleted=stale_coeff,
-                          coeff_netlists_deleted=stale_coeff_netlists)
+                          coeff_netlists_deleted=stale_coeff_netlists,
+                          fitted_models_deleted=stale_fitted)
             if not dry_run:
                 con.execute("DELETE FROM grids WHERE created_at < ?",
                             (cutoff,))
@@ -1015,6 +1077,9 @@ class DesignStore:
                 con.execute("DELETE FROM coeff_cache WHERE created_at < ?",
                             (cutoff,))
                 con.execute(
+                    "DELETE FROM fitted_models WHERE created_at < ?",
+                    (cutoff,))
+                con.execute(
                     "DELETE FROM coeff_netlists WHERE created_at < ?"
                     + netlist_filter, (cutoff, *live_coeff_netlists))
         if not dry_run:
@@ -1027,14 +1092,14 @@ class DesignStore:
     # -- inspection ----------------------------------------------------
 
     def stats(self) -> dict:
-        """Row counts per table plus coefficient-axis hit counters."""
+        """Row counts per table plus the cache tables' hit counters."""
         with closing(self._connect()) as con, con:
             counts = {table: con.execute(
                 f"SELECT COUNT(*) FROM {table}").fetchone()[0]
                 for table in ("variants", "grids", "shards",
                               "shard_leases", "coeff_cache",
-                              "coeff_netlists")}
-            for table in ("coeff_cache", "coeff_netlists"):
+                              "coeff_netlists", "fitted_models")}
+            for table in ("coeff_cache", "coeff_netlists", "fitted_models"):
                 counts[f"{table}_hits"] = con.execute(
                     f"SELECT COALESCE(SUM(hits), 0) FROM {table}"
                 ).fetchone()[0]

@@ -1,8 +1,27 @@
 """Tests for the command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
+def test_cli_imports_without_scipy():
+    """NumPy is the only runtime dependency: scipy serves ``proxy`` only."""
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "import repro.cli\n"
+              "loaded = [name for name, module in sys.modules.items()\n"
+              "          if name.startswith('scipy') and module is not None]\n"
+              "assert not loaded, loaded\n")
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env={**os.environ, "PYTHONPATH": SRC})
 
 
 class TestCli:
