@@ -209,11 +209,7 @@ class CrossLayerFramework:
         library: shared bespoke-multiplier area cache.
         n_workers: fan the pruning explorations' tau_c chains across a
             process pool (serial when ``None``/``0``/``1``; pool failures
-            fall back to serial automatically).  ROADMAP caveat: the
-            reference container is single-CPU, so the pool is
-            regression-tested for serial equivalence only, not
-            benchmarked at scale; worker chains run the per-variant
-            engine, the serial path runs the (faster) batched walk.
+            fall back to serial automatically).
         engine: evaluation backend for every score and exploration —
             ``"auto"`` (default: the batched multi-variant engine where
             the host supports it), ``"batched"``, ``"compiled"``

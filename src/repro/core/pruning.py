@@ -43,8 +43,7 @@ for speed:
 * **Parallel chains.** Independent tau_c chains can fan out across a
   ``concurrent.futures`` process pool (``n_workers``); any pool failure
   falls back to the serial path, and both paths produce the identical
-  design list.  (Single-CPU container caveat: the pool path is
-  regression-tested for equivalence, not benchmarked at scale.)
+  design list.
 
 Which engine am I using?  ``NetlistPruner.resolved_engine()`` answers
 for one pruner: ``engine=None`` inherits the evaluator's selector, and
@@ -957,11 +956,8 @@ class NetlistPruner:
             same engine the serial path resolves to — on ``"batched"``
             each worker walks its chain as a one-chain batched trie
             (plan epochs, deferred bulk scoring); on the per-variant
-            engines they run the incremental chain walk.  Note the
-            ROADMAP caveat: the reference container is single-CPU, so
-            the pool is regression-tested for serial equivalence but
-            not benchmarked at scale; serial runs additionally share
-            work *across* chains through the trie.
+            engines they run the incremental chain walk.  Serial runs
+            additionally share work *across* chains through the trie.
         engine: exploration engine override — ``None`` (default)
             inherits the evaluator's ``engine``.  ``"batched"`` (what
             ``"auto"`` resolves to on supported hosts) scores sibling

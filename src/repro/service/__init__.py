@@ -15,8 +15,9 @@ and repeated requests without recomputing anything twice:
   stale-lease reclamation for dead workers and monotonic fencing
   tokens so a reclaimed (zombie) holder can never land a stale write;
 * :mod:`repro.service.coordinator` — the multi-host half of the fleet:
-  a stdlib HTTP client + store-shaped facade that runs the same worker
-  loop against a ``repro serve`` coordinator over the network, with
+  one RPC table from which both the store-shaped HTTP client and the
+  server's coordinator plane are generated, so the same worker loop
+  runs against a ``repro serve`` coordinator over the network, with
   keep-alive, deadline-bounded retry, and heartbeat lease renewal;
 * :mod:`repro.service.retry` — the one retry/backoff policy (exponential
   with decorrelated jitter, deadline-bounded) shared by the store's

@@ -36,9 +36,9 @@ Contract highlights (the full table lives in
   base fingerprint, so tenants can never alias each other's rows.
   The default tenant keeps the empty namespace — its keys are
   byte-compatible with CLI-built stores.
-* **Fleet coordination**: the JSON endpoints under ``/v1/jobs/``,
-  ``/v1/bases/``, ``/v1/coeff/``, and ``/v1/coeff-netlists/`` expose
-  the tenant store's lease/checkpoint primitives over HTTP, so
+* **Fleet coordination**: the JSON endpoints of the RPC table in
+  :mod:`repro.service.coordinator` expose the tenant store's
+  lease/checkpoint primitives over HTTP, so
   ``repro explore --coordinator URL`` workers drain a grid with no
   shared filesystem; shard uploads are fenced by lease token (a
   reclaimed worker's late write gets 409 and mutates nothing).
@@ -71,16 +71,14 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
-from ..eval.accuracy import EvaluationRecord
+from .coordinator import COORD_PREFIXES, SAFE_CHARS, serve_rpc
 from .faults import fault_point
 from .jobs import DEFAULT_SHARD_SIZE
-from .leases import DEFAULT_LEASE_TTL_S
 from .runner import ExplorationService, ExploreRequest
-from .store import (DesignStore, FencedWriteError, canonical_json,
-                    design_from_dict, design_to_dict,
-                    grid_key as make_grid_key)
+from .store import DesignStore, canonical_json, grid_key as make_grid_key
 from .telemetry import (capture_context, counter as _metric,
                         current_request_id, current_trace_id, gauge,
                         get_hub, new_request_id, set_request_id, span,
@@ -88,9 +86,6 @@ from .telemetry import (capture_context, counter as _metric,
 from .telemetry import configure as _configure_telemetry
 
 __all__ = ["ServeConfig", "ExploreServer", "serve"]
-
-_TENANT_OK = "abcdefghijklmnopqrstuvwxyz" \
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-"
 
 # Keep-alive is strictly opt-in (clients must send ``Connection:
 # keep-alive``): every pre-existing client reads to EOF, so the default
@@ -100,8 +95,6 @@ _KEEPALIVE_MAX = 100
 # Coordinator bodies (shard checkpoints, grid uploads) dwarf manifests;
 # they get their own ceiling instead of raising the global one.
 _COORD_MAX_BODY = 64 << 20
-_COORD_PREFIXES = ("/v1/jobs/", "/v1/bases/", "/v1/coeff/",
-                   "/v1/coeff-netlists/")
 
 
 @dataclass(frozen=True)
@@ -310,7 +303,7 @@ class ExploreServer:
     def _tenant(self, headers: dict) -> str:
         tenant = headers.get("x-tenant", self.config.default_tenant)
         if not tenant or len(tenant) > 64 \
-                or any(c not in _TENANT_OK for c in tenant):
+                or any(c not in SAFE_CHARS for c in tenant):
             raise _HttpError(400, f"invalid tenant {tenant[:80]!r}: use "
                                   "1-64 chars of [A-Za-z0-9._-]")
         return tenant
@@ -481,7 +474,7 @@ class ExploreServer:
             headers[name.strip().lower()] = value.strip()
         length = int(headers.get("content-length", "0") or "0")
         limit = self.config.max_body_bytes
-        if path.startswith(_COORD_PREFIXES):
+        if path.startswith(COORD_PREFIXES):
             limit = max(limit, _COORD_MAX_BODY)
         if length > limit:
             raise _HttpError(413, f"body of {length} bytes exceeds the "
@@ -527,7 +520,7 @@ class ExploreServer:
     def _client_request_id(headers: dict) -> str | None:
         """A sanitized client-supplied ``X-Request-Id``, or ``None``."""
         rid = headers.get("x-request-id", "")
-        if rid and len(rid) <= 64 and all(c in _TENANT_OK for c in rid):
+        if rid and len(rid) <= 64 and all(c in SAFE_CHARS for c in rid):
             return rid
         return None
 
@@ -596,7 +589,7 @@ class ExploreServer:
     def _endpoint_label(path: str) -> str:
         if path in ExploreServer._ENDPOINTS:
             return path
-        for prefix in _COORD_PREFIXES:
+        for prefix in COORD_PREFIXES:
             if path.startswith(prefix):
                 return prefix.rstrip("/")
         return "other"
@@ -608,12 +601,16 @@ class ExploreServer:
         (the response honored ``conn``; streams always close)."""
         self.counters["requests"] += 1
         _metric("server.requests", endpoint=self._endpoint_label(path))
-        if path.startswith(_COORD_PREFIXES):
+        if path.startswith(COORD_PREFIXES):
             # Coordinator (fleet) plane: cheap store operations, allowed
             # during drain so in-flight workers can land their
             # checkpoints and release their leases.
-            await self._coordinate(method, path, headers, body, writer,
-                                   conn)
+            tenant = self._tenant(headers)
+            status, reply = await serve_rpc(
+                method, path, body, partial(self._store_call, tenant))
+            if status != 200:
+                raise _HttpError(status, reply["error"])
+            await self._send_json(writer, status, reply, conn=conn)
             return True
         if path == "/v1/metrics":
             if method != "GET":
@@ -648,8 +645,8 @@ class ExploreServer:
         raise _HttpError(404, f"unknown path {path!r}; endpoints: "
                               "/v1/explore /v1/sweep /v1/status "
                               "/v1/healthz /v1/metrics plus the "
-                              "coordinator plane under /v1/jobs/ "
-                              "/v1/bases/ /v1/coeff/ /v1/coeff-netlists/")
+                              "coordinator plane under "
+                              + " ".join(COORD_PREFIXES))
 
     @staticmethod
     def _parse_body(body: bytes) -> dict:
@@ -705,241 +702,13 @@ class ExploreServer:
         await writer.drain()
 
     # -- coordinator (fleet) plane -------------------------------------
-    #
-    # JSON request/response endpoints exposing the tenant store's lease
-    # and checkpoint primitives, so `repro explore --coordinator URL`
-    # workers run the fleet loop over HTTP with no shared filesystem.
-    # Every handler is one blocking store call run on the worker pool;
-    # the store's own transactions provide all the atomicity the fleet
-    # protocol needs (see docs/ARCHITECTURE.md "Distributed fleet").
 
     async def _store_call(self, tenant: str, fn, *args, **kwargs):
+        """One blocking store call on the tenant's store, pooled."""
         assert self._loop is not None
         store = self._service(tenant).store
         return await self._loop.run_in_executor(
             self._pool, lambda: fn(store, *args, **kwargs))
-
-    @staticmethod
-    def _key_segment(segment: str) -> str:
-        if not segment or len(segment) > 128 \
-                or any(c not in _TENANT_OK for c in segment):
-            raise _HttpError(400, f"invalid key segment {segment[:80]!r}")
-        return segment
-
-    @staticmethod
-    def _coord_fields(payload: dict, *names):
-        try:
-            return tuple(payload[name] for name in names)
-        except KeyError as exc:
-            raise _HttpError(400, f"missing field {exc.args[0]!r}")
-
-    async def _coordinate(self, method: str, path: str, headers: dict,
-                          body: bytes, writer: asyncio.StreamWriter,
-                          conn: str) -> None:
-        tenant = self._tenant(headers)
-        parts = [p for p in path.split("/") if p]  # ["v1", kind, key, ...]
-        kind, rest = parts[1], parts[2:]
-        if not rest:
-            raise _HttpError(404, f"missing key under /v1/{kind}/")
-        key = self._key_segment(rest[0])
-        sub = rest[1:]
-        payload = self._parse_body(body) if method in ("POST", "PUT") \
-            else {}
-
-        async def reply(data: dict, status: int = 200) -> None:
-            await self._send_json(writer, status, data, conn=conn)
-
-        try:
-            if kind == "jobs":
-                await self._coordinate_job(method, key, sub, payload,
-                                           tenant, reply)
-            elif kind == "bases" and sub == ["variants"]:
-                await self._coordinate_variants(method, key, payload,
-                                                tenant, reply)
-            elif kind == "coeff" and not sub:
-                await self._coordinate_coeff(method, key, payload,
-                                             tenant, reply)
-            elif kind == "coeff-netlists" and sub in ([], ["fingerprint"]):
-                await self._coordinate_coeff_netlist(
-                    method, key, sub, payload, tenant, reply)
-            else:
-                raise _HttpError(404, f"unknown coordinator path {path!r}")
-        except (TypeError, ValueError) as exc:
-            raise _HttpError(400, f"bad coordinator payload: {exc}")
-
-    async def _coordinate_job(self, method: str, gkey: str, sub: list,
-                              payload: dict, tenant: str, reply) -> None:
-        call = self._store_call
-        if sub and sub[0] == "leases":
-            op = sub[1] if len(sub) == 2 else None
-            if method == "POST" and op in ("claim", "renew", "release"):
-                shard, worker = self._coord_fields(payload, "shard",
-                                                   "worker")
-                shard, worker = int(shard), str(worker)
-                ttl_s = float(payload.get("ttl_s", DEFAULT_LEASE_TTL_S))
-                if op == "claim":
-                    token = await call(tenant, DesignStore.claim_lease,
-                                       gkey, shard, worker, ttl_s)
-                    await reply({"type": "lease", "token": int(token)})
-                elif op == "renew":
-                    token = payload.get("token")
-                    renewed = await call(
-                        tenant, DesignStore.renew_lease, gkey, shard,
-                        worker, ttl_s,
-                        token=None if token is None else int(token))
-                    await reply({"type": "lease",
-                                 "renewed": bool(renewed)})
-                else:
-                    await call(tenant, DesignStore.release_lease, gkey,
-                               shard, worker)
-                    await reply({"type": "lease", "released": True})
-                return
-            if method == "GET" and not sub[1:]:
-                leases = await call(tenant, DesignStore.leases_for_grid,
-                                    gkey)
-                await reply({"type": "leases", "leases": {
-                    str(shard): info for shard, info in leases.items()}})
-                return
-            if method == "DELETE" and not sub[1:]:
-                await call(tenant, DesignStore.clear_leases, gkey)
-                await reply({"type": "leases", "cleared": True})
-                return
-            raise _HttpError(405, "leases: POST claim/renew/release, "
-                                  "GET or DELETE the collection")
-        if sub and sub[0] == "shards":
-            if len(sub) == 2:
-                shard = int(sub[1])
-                if method == "GET":
-                    stored = await call(tenant, DesignStore.get_shard,
-                                        gkey, shard)
-                    if stored is None:
-                        raise _HttpError(404, f"no checkpoint for shard "
-                                              f"{shard} of {gkey[:12]}")
-                    await reply({"type": "shard", "shard": shard,
-                                 "taus": stored[0],
-                                 "payload": stored[1]})
-                    return
-                if method == "PUT":
-                    taus, data = self._coord_fields(payload, "taus",
-                                                    "payload")
-                    fence = payload.get("fence")
-                    if fence is not None:
-                        fence = (str(fence[0]), int(fence[1]))
-                    try:
-                        await call(tenant, DesignStore.put_shard, gkey,
-                                   shard, [float(t) for t in taus],
-                                   data, fence=fence)
-                    except FencedWriteError as exc:
-                        raise _HttpError(409, str(exc))
-                    await reply({"type": "shard", "shard": shard,
-                                 "stored": True})
-                    return
-                raise _HttpError(405, "shard checkpoints are GET/PUT")
-            if method == "GET":
-                indices = await call(tenant, DesignStore.shard_indices,
-                                     gkey)
-                await reply({"type": "shards",
-                             "indices": sorted(int(i) for i in indices)})
-                return
-            if method == "DELETE":
-                await call(tenant, DesignStore.clear_shards, gkey)
-                await reply({"type": "shards", "cleared": True})
-                return
-            raise _HttpError(405, "shards: GET/DELETE the collection, "
-                                  "GET/PUT /shards/{index}")
-        if sub == ["grid"]:
-            if method == "GET":
-                designs = await call(tenant, DesignStore.get_grid, gkey)
-                if designs is None:
-                    raise _HttpError(404, f"no finished grid {gkey[:12]}")
-                meta = await call(tenant, DesignStore.grid_meta, gkey)
-                await reply({"type": "grid",
-                             "designs": [design_to_dict(d)
-                                         for d in designs],
-                             "meta": meta})
-                return
-            if method == "PUT":
-                (raw,) = self._coord_fields(payload, "designs")
-                designs = [design_from_dict(d) for d in raw]
-                await call(tenant, DesignStore.put_grid, gkey, designs,
-                           meta=payload.get("meta"))
-                await reply({"type": "grid", "stored": True,
-                             "n_designs": len(designs)})
-                return
-            if method == "DELETE":
-                await call(tenant, DesignStore.delete_grid, gkey)
-                await reply({"type": "grid", "deleted": True})
-                return
-            raise _HttpError(405, "grid is GET/PUT/DELETE")
-        raise _HttpError(404, f"unknown job resource {'/'.join(sub)!r}; "
-                              "use leases, shards, or grid")
-
-    async def _coordinate_variants(self, method: str, base_key: str,
-                                   payload: dict, tenant: str,
-                                   reply) -> None:
-        if method == "GET":
-            variants = await self._store_call(
-                tenant, DesignStore.variants_for_base, base_key)
-            await reply({"type": "variants", "variants": [
-                [list(ids), record.to_dict()]
-                for ids, record in sorted(variants.items())]})
-            return
-        if method == "PUT":
-            (raw,) = self._coord_fields(payload, "variants")
-            entries = {tuple(int(i) for i in ids):
-                       EvaluationRecord.from_dict(record)
-                       for ids, record in raw}
-            await self._store_call(tenant, DesignStore.put_variants,
-                                   base_key, entries)
-            await reply({"type": "variants", "stored": len(entries)})
-            return
-        raise _HttpError(405, "variants are GET/PUT")
-
-    async def _coordinate_coeff(self, method: str, key: str,
-                                payload: dict, tenant: str,
-                                reply) -> None:
-        if method == "GET":
-            data = await self._store_call(tenant, DesignStore.get_coeff,
-                                          key)
-            if data is None:
-                raise _HttpError(404, f"no coefficient payload {key[:12]}")
-            await reply({"type": "coeff", "payload": data})
-            return
-        if method == "PUT":
-            (data,) = self._coord_fields(payload, "payload")
-            await self._store_call(tenant, DesignStore.put_coeff, key,
-                                   data)
-            await reply({"type": "coeff", "stored": True})
-            return
-        raise _HttpError(405, "coeff payloads are GET/PUT")
-
-    async def _coordinate_coeff_netlist(self, method: str, key: str,
-                                        sub: list, payload: dict,
-                                        tenant: str, reply) -> None:
-        if method == "GET" and sub == ["fingerprint"]:
-            fingerprint = await self._store_call(
-                tenant, DesignStore.get_coeff_netlist_fingerprint, key)
-            if fingerprint is None:
-                raise _HttpError(404, f"no coeff netlist {key[:12]}")
-            await reply({"type": "coeff-netlist",
-                         "fingerprint": fingerprint})
-            return
-        if method == "GET":
-            data = await self._store_call(
-                tenant, DesignStore.get_coeff_netlist, key)
-            if data is None:
-                raise _HttpError(404, f"no coeff netlist {key[:12]}")
-            await reply({"type": "coeff-netlist", "netlist": data})
-            return
-        if method == "PUT" and not sub:
-            netlist, fingerprint = self._coord_fields(
-                payload, "netlist", "fingerprint")
-            await self._store_call(tenant, DesignStore.put_coeff_netlist,
-                                   key, netlist, str(fingerprint))
-            await reply({"type": "coeff-netlist", "stored": True})
-            return
-        raise _HttpError(405, "coeff netlists are GET/PUT (plus GET "
-                              "/fingerprint)")
 
     # -- streaming endpoints -------------------------------------------
 

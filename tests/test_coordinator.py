@@ -1,13 +1,17 @@
-"""Tests for the HTTP fleet coordinator (client + server plane).
+"""Tests for the HTTP fleet coordinator's client, heartbeat and fleet.
 
 The multi-host fleet has one safety property — **a fenced worker never
 mutates the store** — and one liveness property — **transient network
 failure is absorbed by retry, sustained failure surfaces as
-CoordinatorError**.  Both are exercised here against a real in-process
-``repro serve`` instance (its own event loop on a background thread,
-real sockets on localhost), plus the end-to-end identity oracle: a
-fleet worker running entirely over HTTP produces the byte-identical
-design list to a serial in-process run.
+CoordinatorError**.  The store operations themselves (fencing included)
+are proven once for both backends in ``tests/test_store_contract.py``
+and their wire bytes pinned in ``tests/test_coordinator_wire.py``; this
+module covers the client's retry behaviour, the lease heartbeat, and the
+end-to-end identity oracle — a fleet worker running entirely over HTTP
+produces the byte-identical design list to a serial in-process run.
+Every server here is a real in-process ``repro serve`` (its own event
+loop on a background thread, real sockets on localhost); the helpers
+``coordinator()`` and ``remote()`` are shared with those modules.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from repro.service import (
     DesignStore,
     ExplorationService,
     ExploreRequest,
-    FencedWriteError,
     RemoteStore,
 )
 from repro.service.faults import FaultInjector, installed
@@ -78,69 +81,6 @@ def fast_policy(**overrides) -> RetryPolicy:
                    jitter="none")
     options.update(overrides)
     return RetryPolicy(**options)
-
-
-class TestEndpoints:
-    def test_lease_lifecycle_over_http(self, tmp_path):
-        with coordinator(tmp_path) as server:
-            store = remote(server)
-            token = store.claim_lease(GKEY, 0, "w1", ttl_s=60.0)
-            assert token >= 1
-            # live peer is excluded, holder re-claims its own token
-            assert store.claim_lease(GKEY, 0, "w2", ttl_s=60.0) == 0
-            assert store.claim_lease(GKEY, 0, "w1", ttl_s=60.0) == token
-            assert store.renew_lease(GKEY, 0, "w1", ttl_s=60.0,
-                                     token=token)
-            assert not store.renew_lease(GKEY, 0, "w1", ttl_s=60.0,
-                                         token=token + 1)
-            leases = store.leases_for_grid(GKEY)
-            assert leases[0]["worker"] == "w1"
-            assert leases[0]["token"] == token
-            store.release_lease(GKEY, 0, "w1")
-            assert store.leases_for_grid(GKEY) == {}
-
-    def test_shard_checkpoints_and_grid_round_trip(self, tmp_path):
-        with coordinator(tmp_path) as server:
-            store = remote(server)
-            assert store.get_shard(GKEY, 0) is None
-            assert store.shard_indices(GKEY) == set()
-            token = store.claim_lease(GKEY, 0, "w1", ttl_s=60.0)
-            store.put_shard(GKEY, 0, list(GRID), PAYLOAD,
-                            fence=("w1", token))
-            taus, payload = store.get_shard(GKEY, 0)
-            assert taus == list(GRID) and payload == PAYLOAD
-            assert store.shard_indices(GKEY) == {0}
-            store.clear_shards(GKEY)
-            assert store.shard_indices(GKEY) == set()
-
-    def test_fenced_upload_gets_409_and_writes_nothing(self, tmp_path):
-        with coordinator(tmp_path) as server:
-            store = remote(server)
-            stale = store.claim_lease(GKEY, 0, "zombie", ttl_s=-5.0)
-            fresh = store.claim_lease(GKEY, 0, "peer", ttl_s=60.0)
-            assert fresh > stale >= 1
-            with pytest.raises(FencedWriteError):
-                store.put_shard(GKEY, 0, list(GRID), PAYLOAD,
-                                fence=("zombie", stale))
-            assert store.shard_indices(GKEY) == set()
-            # ... and the rightful holder still lands its write
-            store.put_shard(GKEY, 0, list(GRID), PAYLOAD,
-                            fence=("peer", fresh))
-            assert store.shard_indices(GKEY) == {0}
-
-    def test_coeff_caches_over_http(self, tmp_path):
-        with coordinator(tmp_path) as server:
-            store = remote(server)
-            key = "k" * 64
-            assert store.get_coeff(key) is None
-            store.put_coeff(key, [{"original": 3, "approximated": 2}])
-            assert store.get_coeff(key) \
-                == [{"original": 3, "approximated": 2}]
-            assert store.get_coeff_netlist(key) is None
-            assert store.get_coeff_netlist_fingerprint(key) is None
-            store.put_coeff_netlist(key, {"nodes": []}, "f" * 64)
-            assert store.get_coeff_netlist(key) == {"nodes": []}
-            assert store.get_coeff_netlist_fingerprint(key) == "f" * 64
 
 
 class TestClientRobustness:
