@@ -319,8 +319,9 @@ def run_sigkill_scenario(case: Case) -> dict:
     }
 
 
-# Kill the server on its 2nd streamed line (header sent, first design
-# pending): a client-visible mid-stream death.
+# Kill the server on its 2nd streamed line (the request header line
+# rendered, possibly unsent; first design pending): a client-visible
+# mid-stream death.
 SERVE_KILL_SPEC = "server.stream:2=kill"
 
 
@@ -445,7 +446,10 @@ def run_serve_kill_scenario(case: Case) -> dict:
     """A real server subprocess SIGKILLed mid-stream, then restarted.
 
     ``server.stream:2=kill`` (one-shot via the marker dir) takes the
-    whole server down after the request header line went out; the
+    whole server down while it renders the second line of the stream.
+    The server writes a batch of lines at once, so the request header
+    line rendered before it may not have gone out: the client sees at
+    most the HTTP head and that line, never the design list.  The
     restarted server must serve the identical designs warm off the
     surviving store.
     """

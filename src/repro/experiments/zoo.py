@@ -104,12 +104,21 @@ def get_case(dataset: str, kind: str, store=None) -> CircuitCase:
 
     On a memo miss, ``store`` (a :class:`~repro.service.store.
     DesignStore` or any object with its ``get_fitted_model`` /
-    ``put_fitted_model`` pair) is tried for the fitted model before
-    training, and a fresh fit is put there.
+    ``put_fitted_model`` / ``has_fitted_model`` methods) is tried for
+    the fitted model before training, and a fresh fit is put there.
+    On a memo hit the memoized state is put into a ``store`` that
+    lacks it, so whether a store holds the row never depends on what
+    the process did before.
     """
     key = (dataset, kind)
     case = _CASES.get(key)
     if case is not None:
+        if store is not None:
+            fit_key = case.float_model.fit_key(case.split.X_train,
+                                               case.split.y_train)
+            if not store.has_fitted_model(fit_key):
+                store.put_fitted_model(fit_key,
+                                       case.float_model.fitted_state())
         return case
     split = load_dataset(dataset).standard_split(seed=_SPLIT_SEED)
     float_model = _train(_estimator(dataset, kind), split, store)

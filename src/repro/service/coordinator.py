@@ -554,6 +554,9 @@ class RemoteStore:
     def put_fitted_model(self, key: str, state: dict) -> None:
         pass
 
+    def has_fitted_model(self, key: str) -> bool:
+        return True  # nothing to put: see put_fitted_model
+
     # -- fleet hooks ---------------------------------------------------
 
     def make_lease_manager(self, grid_key: str, worker: str,

@@ -22,7 +22,7 @@ site                        where it fires
 ``store.lease``             inside every lease acquire/renew transaction
 ``job.shard``               before a job computes one shard (ctx: ``index``)
 ``job.assemble``            before the final design-list assembly
-``service.request``         as the batch runner starts one request
+``service.request``         as the runner (or server) starts one request
 ``engine.<name>``           as the serial walk starts on engine ``<name>``
 ``worker.chain``            in a pool worker, per chain task (ctx: ``tau``)
 ``pool.map``                in the parent, before a parallel shard map

@@ -51,7 +51,8 @@ from .store import (
     variant_key,
 )
 
-__all__ = ["ExploreRequest", "ExplorationService"]
+__all__ = ["ExploreRequest", "ExplorationService", "request_records",
+           "summary_record"]
 
 _BASES = ("exact", "coeff")
 _IDENTITIES = ("exact", "relaxed")
@@ -126,6 +127,41 @@ class ExploreRequest:
         if self.label is None and self.identity == "relaxed":
             name += "@relaxed"
         return name
+
+
+def _design_record(design: PrunedDesign, **tags) -> dict:
+    """One ``design`` line; ``tags`` (``index``, a sweep's ``e``) lead."""
+    return {"type": "design", **tags,
+            "tau_c": design.tau_c, "phi_c": design.phi_c,
+            "n_pruned": design.n_pruned,
+            "duplicate_of": design.duplicate_of,
+            **design.record.to_dict()}
+
+
+def request_records(index: int, request: ExploreRequest,
+                    designs: list[PrunedDesign], report: JobReport
+                    ) -> list[dict]:
+    """One explored request's lines: its ``request`` header, then a
+    ``design`` line per design.  :meth:`ExplorationService.run_manifest`
+    and ``repro serve`` both render these, so their bytes agree."""
+    header = {
+        "type": "request", "index": index,
+        "dataset": request.dataset, "model": request.model,
+        "base": request.base, "label": request.name,
+        "tau_grid_points": len(request.tau_grid),
+        "n_designs": len(designs),
+        **report.to_dict(),
+    }
+    return [header, *(_design_record(design, index=index)
+                      for design in designs)]
+
+
+def summary_record(n_requests: int, n_grid_hits: int, n_designs: int,
+                   start: float, store_stats: dict) -> dict:
+    """A manifest's closing ``summary`` line (``start``: perf_counter)."""
+    return {"type": "summary", "n_requests": n_requests,
+            "n_grid_hits": n_grid_hits, "n_designs": n_designs,
+            "runtime_s": time.perf_counter() - start, "store": store_stats}
 
 
 class ExplorationService:
@@ -311,16 +347,25 @@ class ExplorationService:
 
         The warm fast path: base and grid keys derive from stored
         fingerprints, so a repeated request never rebuilds (or even
-        deserializes) its base netlist — it is one SQLite lookup.
+        deserializes) its base netlist — it is one SQLite lookup
+        (a ``grid_hit`` in the ``service.requests`` metric).
         """
         start = time.perf_counter()
         gkey = make_grid_key(self._base_key(request), request.tau_grid)
         designs = self.store.get_grid(gkey)
         if designs is None:
             return None
+        _metric("service.requests", outcome="grid_hit")
         report = JobReport(gkey, grid_hit=True,
                            runtime_s=time.perf_counter() - start)
         return designs, report
+
+    def lookup(self, request: ExploreRequest):
+        """:meth:`explore`'s warm half, same span and metric: a stored
+        grid as ``(designs, report)``, or ``None`` (nothing computed)."""
+        with _span("service.request", dataset=request.dataset,
+                   model=request.model, base=request.base):
+            return self._warm_grid(request)
 
     def job(self, request: ExploreRequest) -> ExplorationJob:
         """The resumable job a request maps to (exposes its content key)."""
@@ -344,11 +389,9 @@ class ExplorationService:
         """
         with _span("service.request", dataset=request.dataset,
                    model=request.model, base=request.base):
-            if resume:
-                warm = self._warm_grid(request)
-                if warm is not None:
-                    _metric("service.requests", outcome="grid_hit")
-                    return warm
+            warm = self._warm_grid(request) if resume else None
+            if warm is not None:
+                return warm
             job = self.job(request)
             report = JobReport(job.grid_key())
             designs = job.run(resume=resume, on_shard=on_shard,
@@ -408,31 +451,27 @@ class ExplorationService:
             results.append((req.e, record, i not in cold, designs, report))
         return results
 
-    def run_sweep(self, request: ExploreRequest, e_values, out,
-                  resume: bool = True,
-                  include_cross: bool = True) -> dict:
-        """Stream :meth:`sweep` as JSONL; returns the summary dict.
-
-        Lines: one ``sweep`` header; per radius a ``coeff`` line (the
-        coefficient-approximated design's record, with its
-        ``coeff_hit`` warm flag) and — with cross — a ``request``
-        header plus ``design`` lines, every one tagged with its ``e``;
-        one final ``summary``.
-        """
+    def sweep_records(self, request: ExploreRequest, e_values,
+                      resume: bool = True,
+                      include_cross: bool = True) -> list[dict]:
+        """:meth:`sweep` as JSONL records: one ``sweep`` header; per
+        radius a ``coeff`` line (the coefficient-approximated design's
+        record, with its ``coeff_hit`` warm flag) and — with cross — a
+        ``request`` header plus ``design`` lines, every one tagged with
+        its ``e``; one final ``summary``."""
         start = time.perf_counter()
         results = self.sweep(request, e_values, resume=resume,
                              include_cross=include_cross)
-        write_line(out, {
+        records = [{
             "type": "sweep",
             "dataset": request.dataset, "model": request.model,
             "e_values": [e for e, *_rest in results],
             "tau_grid_points": len(request.tau_grid),
             "include_cross": include_cross,
-        })
-        n_designs = 0
-        n_cached = 0
+        }]
+        n_designs = n_cached = 0
         for index, (e, record, hit, designs, report) in enumerate(results):
-            write_line(out, {
+            records.append({
                 "type": "coeff", "index": index, "e": e,
                 "coeff_hit": hit, **record.to_dict(),
             })
@@ -440,21 +479,15 @@ class ExplorationService:
                 continue
             n_cached += int(report.grid_hit)
             n_designs += len(designs)
-            write_line(out, {
+            records.append({
                 "type": "request", "index": index, "e": e,
                 "dataset": request.dataset, "model": request.model,
                 "base": "coeff", "n_designs": len(designs),
                 **report.to_dict(),
             })
-            for design in designs:
-                write_line(out, {
-                    "type": "design", "index": index, "e": e,
-                    "tau_c": design.tau_c, "phi_c": design.phi_c,
-                    "n_pruned": design.n_pruned,
-                    "duplicate_of": design.duplicate_of,
-                    **design.record.to_dict(),
-                })
-        summary = {
+            records.extend(_design_record(design, index=index, e=e)
+                           for design in designs)
+        records.append({
             "type": "summary",
             "kind": "sweep",
             "n_e_values": len(results),
@@ -462,9 +495,18 @@ class ExplorationService:
             "n_designs": n_designs,
             "runtime_s": time.perf_counter() - start,
             "store": self.store.stats(),
-        }
-        write_line(out, summary)
-        return summary
+        })
+        return records
+
+    def run_sweep(self, request: ExploreRequest, e_values, out,
+                  resume: bool = True,
+                  include_cross: bool = True) -> dict:
+        """Stream :meth:`sweep_records` as JSONL; returns the summary."""
+        records = self.sweep_records(request, e_values, resume=resume,
+                                     include_cross=include_cross)
+        for record in records:
+            write_line(out, record)
+        return records[-1]
 
     def run_manifest(self, manifest, out, resume: bool = True) -> dict:
         """Stream a manifest of requests to ``out`` as JSONL.
@@ -478,39 +520,17 @@ class ExplorationService:
         requests = [ExploreRequest.from_dict(d) for d in manifest]
 
         start = time.perf_counter()
-        n_cached = 0
-        n_designs = 0
+        n_cached = n_designs = 0
         for index, request in enumerate(requests):
             fault_point("service.request", index=index,
                         dataset=request.dataset)
             designs, report = self.explore(request, resume=resume)
             n_cached += int(report.grid_hit)
             n_designs += len(designs)
-            header = {
-                "type": "request", "index": index,
-                "dataset": request.dataset, "model": request.model,
-                "base": request.base, "label": request.name,
-                "tau_grid_points": len(request.tau_grid),
-                "n_designs": len(designs),
-                **report.to_dict(),
-            }
-            write_line(out, header)
-            for design in designs:
-                write_line(out, {
-                    "type": "design", "index": index,
-                    "tau_c": design.tau_c, "phi_c": design.phi_c,
-                    "n_pruned": design.n_pruned,
-                    "duplicate_of": design.duplicate_of,
-                    **design.record.to_dict(),
-                })
-        summary = {
-            "type": "summary",
-            "n_requests": len(requests),
-            "n_grid_hits": n_cached,
-            "n_designs": n_designs,
-            "runtime_s": time.perf_counter() - start,
-            "store": self.store.stats(),
-        }
+            for record in request_records(index, request, designs, report):
+                write_line(out, record)
+        summary = summary_record(len(requests), n_cached, n_designs, start,
+                                 self.store.stats())
         write_line(out, summary)
         return summary
 

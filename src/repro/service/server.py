@@ -13,13 +13,13 @@ Contract highlights (the full table lives in
 ``docs/ARCHITECTURE.md`` → "Server"):
 
 * **Streaming**: ``POST /v1/explore`` and ``POST /v1/sweep`` stream
-  line-atomic JSONL (one ``write`` per complete line) — or SSE frames
-  when the client sends ``Accept: text/event-stream``.  The line
-  schemas are exactly :meth:`ExplorationService.run_manifest`'s /
-  :meth:`ExplorationService.run_sweep`'s: the served bytes of a design
-  line are *identical* to the serial batch runner's, pinned by the
-  conformance suite (the wire path has an identity oracle like every
-  engine does).
+  JSONL — or SSE frames under ``Accept: text/event-stream`` — in one
+  ``write`` per *batch* of complete lines (a warm hit: the head, its
+  lines, the summary), never a partial line.  Lines come from the
+  batch runner's own record builders (:func:`~repro.service.runner.
+  request_records`, :meth:`ExplorationService.sweep_records`), so a
+  served design line is byte-*identical* to the serial runner's,
+  pinned by the conformance suite.
 * **Idempotency / coalescing**: requests key by their content
   fingerprint (the same base-fingerprint → grid-key derivation the
   store uses).  A re-submitted request attaches to the in-flight
@@ -29,8 +29,8 @@ Contract highlights (the full table lives in
 * **Backpressure**: at most ``concurrency`` computations run and at
   most ``queue_depth`` more may wait; beyond that a submission gets
   ``429`` with a ``Retry-After`` header before any streaming starts.
-  Coalescing subscribers and warm hits bypass the queue (they cost no
-  computation).
+  Coalescing subscribers and stored grids bypass the queue and the
+  semaphore (they cost no computation).
 * **Tenancy**: the ``X-Tenant`` header selects a per-tenant store
   file under ``store_root`` *and* a key namespace threaded into every
   base fingerprint, so tenants can never alias each other's rows.
@@ -52,18 +52,19 @@ Contract highlights (the full table lives in
   chaos grammar as the rest of the stack.
 
 Threading model: the event loop owns all bookkeeping (in-flight map,
-queues, counters); heavy work runs in a small thread pool through
-``run_in_executor``.  :class:`~repro.eval.accuracy.CircuitEvaluator`
-is *not* thread-safe (mutable simulation caches), so computations
-serialize per (dataset, model) on a lock; different circuits still
-run concurrently.  Worker threads hand finished lines back to the
-loop with ``call_soon_threadsafe`` — the loop is the only writer of
-any channel.
+queues, counters, channels) and all rendering; key resolution, grid
+lookups and computations run in a small pool via ``run_in_executor``.
+:class:`~repro.eval.accuracy.CircuitEvaluator` is *not* thread-safe,
+so computations serialize per (dataset, model) on a lock.  A worker
+returns a request's records as one list; the loop posts it to the
+channel and renders each subscriber's batch (``write_line`` per line)
+into one socket write.
 """
 
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 import os
 import signal
@@ -77,7 +78,9 @@ from pathlib import Path
 from .coordinator import COORD_PREFIXES, SAFE_CHARS, serve_rpc
 from .faults import fault_point
 from .jobs import DEFAULT_SHARD_SIZE
-from .runner import ExplorationService, ExploreRequest
+from .jsonl import write_line
+from .runner import (ExplorationService, ExploreRequest, request_records,
+                     summary_record)
 from .store import DesignStore, canonical_json, grid_key as make_grid_key
 from .telemetry import (capture_context, counter as _metric,
                         current_request_id, current_trace_id, gauge,
@@ -135,20 +138,17 @@ class _LineChannel:
     Records append exactly once (the loop is the only writer); any
     number of subscribers iterate independently — a late subscriber
     replays from the start, so every coalesced client receives the
-    full identical stream.  ``summary`` holds a suppressed trailing
-    summary record (the explore path writes its own aggregate);
-    ``error`` marks a failed computation.
+    full identical stream.  ``error`` marks a failed computation.
     """
 
     def __init__(self) -> None:
         self.records: list[dict] = []
-        self.summary: dict | None = None
         self.error: str | None = None
         self.done = False
         self._event = asyncio.Event()
 
-    def post(self, record: dict) -> None:
-        self.records.append(record)
+    def post(self, records: list[dict]) -> None:
+        self.records.extend(records)
         self._event.set()
 
     def finish(self, error: str | None = None) -> None:
@@ -157,58 +157,19 @@ class _LineChannel:
         self._event.set()
 
     async def subscribe(self):
-        """Yield every record in order; returns when the channel ends."""
+        """Yield every ready record as one batch, in order; returns
+        when the channel ends."""
         index = 0
         while True:
-            while index < len(self.records):
-                yield self.records[index]
-                index += 1
-            if self.done:
+            if index < len(self.records):
+                batch = self.records[index:]
+                index += len(batch)
+                yield batch
+            elif self.done:
                 return
-            self._event.clear()
-            if index < len(self.records) or self.done:
-                continue  # a post/finish landed between drain and clear
-            await self._event.wait()
-
-
-class _ChannelWriter:
-    """File-like ``out`` bridging a worker thread into a channel.
-
-    :func:`~repro.service.jsonl.write_line` performs one ``write`` per
-    complete line, so every ``write`` here is one record.  Summary
-    records are captured rather than forwarded when the endpoint
-    writes its own (the explore path aggregates across requests).
-    """
-
-    def __init__(self, channel: _LineChannel,
-                 loop: asyncio.AbstractEventLoop,
-                 forward_summary: bool) -> None:
-        self._channel = channel
-        self._loop = loop
-        self._forward_summary = forward_summary
-
-    def write(self, text: str) -> None:
-        record = json.loads(text)
-        if record.get("type") == "summary" and not self._forward_summary:
-            self._channel.summary = record
-            return
-        self._loop.call_soon_threadsafe(self._channel.post, record)
-
-    def flush(self) -> None:  # write_line flushes; nothing buffered here
-        pass
-
-
-def _request_dict(request: ExploreRequest) -> dict:
-    """The manifest dict form of a validated request (round-trips)."""
-    data = {"dataset": request.dataset, "model": request.model,
-            "base": request.base, "tau_grid": list(request.tau_grid)}
-    if request.label is not None:
-        data["label"] = request.label
-    if request.identity is not None:
-        data["identity"] = request.identity
-    if request.e is not None:
-        data["e"] = request.e
-    return data
+            else:  # nothing can post between these checks and the wait
+                self._event.clear()
+                await self._event.wait()
 
 
 class ExploreServer:
@@ -243,6 +204,7 @@ class ExploreServer:
         # (hits/misses on the build.cache metric).
         self._build_cache: dict = {}
         self._inflight: dict[tuple, _LineChannel] = {}
+        self._streaming: set[asyncio.StreamWriter] = set()  # 200 head sent
         self._handlers: set[asyncio.Task] = set()
         self._computes: set[asyncio.Task] = set()
         self._sem = asyncio.Semaphore(max(1, int(config.concurrency)))
@@ -366,39 +328,48 @@ class ExploreServer:
             fault_point("server.enqueue", tenant=tenant)
         self._admitted += n_new
 
-    def _spawn_compute(self, key: tuple, channel: _LineChannel,
-                       run_sync) -> _LineChannel:
-        """Register ``channel`` under ``key`` and run ``run_sync`` pooled.
-
-        The caller has already passed admission (``_admit``); this
-        always decrements ``_admitted`` exactly once.  The in-flight
-        entry pops only *after* the work landed in the store, so a
-        late duplicate either coalesces or warm-hits — never recomputes.
-        """
+    def _pooled(self, fn, *args):
+        """``fn(*args)`` in the pool, under the caller's trace context
+        (run_in_executor does not propagate contextvars), so worker
+        spans parent under the originating server.request span."""
         assert self._loop is not None
-        self._inflight[key] = channel
-        # run_in_executor does not propagate contextvars: capture the
-        # handler's trace/request-id context here and reinstall it in
-        # the worker thread, so job/shard/engine spans parent under the
-        # originating server.request span.
         ctx = capture_context()
 
-        def run_traced() -> None:
+        def run():
             with use_context(ctx):
-                run_sync()
+                return fn(*args)
+        return self._loop.run_in_executor(self._pool, run)
+
+    def _compute_error(self, exc: Exception) -> str:
+        self.counters["errors"] += 1
+        _metric("server.errors", kind="compute")
+        return f"{type(exc).__name__}: {exc}"
+
+    def _spawn_compute(self, key: tuple, run_sync) -> _LineChannel:
+        """A channel registered under ``key``, fed by ``run_sync`` pooled.
+
+        ``run_sync()``'s records land in the channel in one post.  The
+        caller has already passed admission (``_admit``); this always
+        decrements ``_admitted`` exactly once.  The in-flight entry pops
+        only *after* the work landed in the store, so a late duplicate
+        either coalesces or warm-hits — never recomputes.
+        """
+        assert self._loop is not None
+        channel = self._inflight[key] = _LineChannel()
 
         async def compute() -> None:
             error = None
             try:
                 async with self._sem:
-                    await self._loop.run_in_executor(self._pool,
-                                                     run_traced)
-                self.counters["computed"] += 1
-                _metric("server.computed")
+                    records = await self._pooled(run_sync)
+                channel.post(records)
+                # A grid that landed while this request looked it up
+                # is served, not computed (a sweep always computes).
+                if not records[0].get("grid_hit"):
+                    self.counters["computed"] += 1
+                    _metric("server.computed")
             except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                self.counters["errors"] += 1
-                _metric("server.errors", kind="compute")
+                error = self._compute_error(exc)
             finally:
                 self._admitted -= 1
                 self._inflight.pop(key, None)
@@ -409,22 +380,40 @@ class ExploreServer:
         task.add_done_callback(self._computes.discard)
         return channel
 
+    async def _lookup(self, service: ExplorationService,
+                      request: ExploreRequest) -> _LineChannel | None:
+        """A finished channel of a stored grid's lines, or ``None``: no
+        queue slot, no semaphore, and the resolve lock already released.
+        """
+        def read() -> list | None:
+            fault_point("service.request", index=0, dataset=request.dataset)
+            warm = service.lookup(request)
+            return warm and request_records(0, request, *warm)
+
+        channel = _LineChannel()
+        try:
+            records = await self._pooled(read)
+        except Exception as exc:
+            channel.finish(self._compute_error(exc))
+            return channel
+        if records is None:
+            return None
+        channel.post(records)
+        channel.finish()
+        return channel
+
     def _explore_sync(self, service: ExplorationService,
-                      request: ExploreRequest,
-                      channel: _LineChannel) -> None:
-        assert self._loop is not None
-        writer = _ChannelWriter(channel, self._loop, forward_summary=False)
+                      request: ExploreRequest) -> list[dict]:
         with self._circuit_lock(request.dataset, request.model):
-            service.run_manifest([_request_dict(request)], writer)
+            designs, report = service.explore(request)
+        return request_records(0, request, designs, report)
 
     def _sweep_sync(self, service: ExplorationService,
                     request: ExploreRequest, e_values: tuple,
-                    include_cross: bool, channel: _LineChannel) -> None:
-        assert self._loop is not None
-        writer = _ChannelWriter(channel, self._loop, forward_summary=True)
+                    include_cross: bool) -> list[dict]:
         with self._circuit_lock(request.dataset, request.model):
-            service.run_sweep(request, e_values, writer,
-                              include_cross=include_cross)
+            return service.sweep_records(request, e_values,
+                                         include_cross=include_cross)
 
     # -- HTTP plumbing -------------------------------------------------
 
@@ -569,13 +558,15 @@ class ExploreServer:
         except Exception:
             self.counters["errors"] += 1
             _metric("server.errors", kind="transport")
-            try:
-                await self._send_json(
-                    writer, 500, {"error": "internal server error"})
-            except Exception:
-                pass
+            if writer not in self._streaming:  # else just cut the stream
+                try:
+                    await self._send_json(
+                        writer, 500, {"error": "internal server error"})
+                except Exception:
+                    pass
         finally:
             self._handlers.discard(task)
+            self._streaming.discard(writer)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -724,47 +715,39 @@ class ExploreServer:
         except (ValueError, TypeError) as exc:
             raise _HttpError(400, str(exc))
 
-        # Resolve every content key first: coalescing and admission are
-        # decided *before* the response status goes out, so a full
-        # queue is a clean 429, never a broken stream.  A channel
-        # captured here stays valid even if its computation finishes
-        # before streaming starts — channels replay from the start.
-        entries = []  # (request, key, channel-or-None) — None = fresh
-        batch: dict[tuple, _LineChannel] = {}
+        # Settle every request before the response status goes out, so
+        # a full queue is a clean 429, never a broken stream.  Cheapest
+        # tier first: an in-flight channel (captured now — it replays
+        # from the start even if its computation finishes before
+        # streaming starts), then a stored grid; only the rest compute.
+        entries = []  # [request, key, channel or None]
+        n_hits = 0
         for request in requests:
             try:
                 gkey = await self._resolve_key(service, request)
             except Exception as exc:
                 raise _HttpError(400, f"cannot resolve "
                                       f"{request.name}: {exc}")
-            key = (tenant, gkey)
-            entries.append([request, key, self._inflight.get(key)])
-        fresh_keys = []  # unique keys needing a computation, in order
-        for request, key, channel in entries:
-            if channel is None and key not in fresh_keys:
-                fresh_keys.append(key)
-        self._admit(len(fresh_keys), tenant)
-        n_coalesced = len(entries) - len(fresh_keys)
+            channel = self._inflight.get((tenant, gkey))
+            if channel is None:
+                channel = await self._lookup(service, request)
+                n_hits += channel is not None
+            entries.append([request, (tenant, gkey), channel])
+        fresh = {key for _request, key, channel in entries
+                 if channel is None and key not in self._inflight}
+        self._admit(len(fresh), tenant)
+        n_coalesced = len(entries) - n_hits - len(fresh)
         self.counters["coalesced"] += n_coalesced
         if n_coalesced:
             _metric("server.coalesced", n_coalesced)
         for entry in entries:
             request, key, channel = entry
-            if channel is not None:
-                continue
-            if key in batch:  # duplicate within this manifest
-                entry[2] = batch[key]
-                continue
-            channel = _LineChannel()
-            batch[key] = channel
-            entry[2] = channel
-            self._spawn_compute(
-                key, channel,
-                lambda service=service, request=request,
-                channel=channel: self._explore_sync(
-                    service, request, channel))
+            if channel is None:
+                entry[2] = self._inflight.get(key) or self._spawn_compute(
+                    key, partial(self._explore_sync, service, request))
 
-        await self._stream(writer, headers, entries, service)
+        await self._stream(writer, headers,
+                           self._explore_lines(entries, service))
 
     @staticmethod
     def _trace_stamp(headers: dict) -> dict | None:
@@ -785,57 +768,69 @@ class ExploreServer:
         return stamp or None
 
     async def _stream(self, writer: asyncio.StreamWriter, headers: dict,
-                      entries: list,
-                      service: ExplorationService) -> None:
-        start = time.perf_counter()
+                      batches) -> None:
+        """Send the 200 head, then each batch of records in one write.
+
+        Per line: the ``server.stream`` fault point, the opt-in trace
+        stamp, ``write_line`` into the batch.  A failure at line k sends
+        lines 1..k-1 whole, then propagates (and ends the response).
+        """
         sse = "text/event-stream" in headers.get("accept", "")
-        content_type = "text/event-stream" if sse \
-            else "application/x-ndjson"
         trace_stamp = self._trace_stamp(headers)
-        writer.write(self._head(200, content_type))
+        writer.write(self._head(200, "text/event-stream" if sse
+                                else "application/x-ndjson"))
+        self._streaming.add(writer)
         await writer.drain()
         line_no = 0
-
-        async def send(record: dict) -> None:
-            nonlocal line_no
-            line_no += 1
-            fault_point("server.stream", index=line_no)
-            if trace_stamp is not None:
-                record = {**record, "trace": trace_stamp}
-            text = json.dumps(record)
-            if sse:
-                data = b"data: " + text.encode() + b"\n\n"
-            else:
-                data = text.encode() + b"\n"
-            writer.write(data)  # one write per line: line-atomic
+        async for records in batches:
+            out = io.StringIO()
+            try:
+                for record in records:
+                    line_no += 1
+                    fault_point("server.stream", index=line_no)
+                    if trace_stamp is not None:
+                        record = {**record, "trace": trace_stamp}
+                    write_line(out, record)
+            finally:
+                text = out.getvalue()
+                if sse:
+                    text = "".join(f"data: {line}\n\n"
+                                   for line in text.splitlines())
+                writer.write(text.encode())
             await writer.drain()
 
-        n_grid_hits = 0
-        n_designs = 0
+    @staticmethod
+    async def _lines(channel: _LineChannel, **error_fields):
+        """A channel's batches, then an ``error`` line if it failed."""
+        async for batch in channel.subscribe():
+            yield batch
+        if channel.error is not None:
+            yield [{"type": "error", **error_fields,
+                    "error": channel.error}]
+
+    async def _explore_lines(self, entries: list,
+                             service: ExplorationService):
+        """Each request's batches under its manifest index, then the
+        aggregate summary (or stop after the first failed request)."""
+        start = time.perf_counter()
+        n_grid_hits = n_designs = 0
         for index, (request, _key, channel) in enumerate(entries):
-            async for record in channel.subscribe():
-                if "index" in record:
-                    record = {**record, "index": index}
-                if record.get("type") == "request":
-                    n_grid_hits += int(bool(record.get("grid_hit")))
-                    n_designs += int(record.get("n_designs", 0))
-                await send(record)
+            async for batch in self._lines(channel, index=index,
+                                           request=request.name):
+                if index:
+                    batch = [{**record, "index": index} for record in batch]
+                for record in batch:
+                    if record["type"] == "request":
+                        n_grid_hits += int(bool(record.get("grid_hit")))
+                        n_designs += int(record.get("n_designs", 0))
+                yield batch
             if channel.error is not None:
-                await send({"type": "error", "index": index,
-                            "request": request.name,
-                            "error": channel.error})
                 return
         assert self._loop is not None
         stats = await self._loop.run_in_executor(
             self._pool, service.store.stats)
-        await send({
-            "type": "summary",
-            "n_requests": len(entries),
-            "n_grid_hits": n_grid_hits,
-            "n_designs": n_designs,
-            "runtime_s": time.perf_counter() - start,
-            "store": stats,
-        })
+        yield [summary_record(len(entries), n_grid_hits, n_designs, start,
+                              stats)]
 
     async def _sweep(self, payload: dict, headers: dict,
                      writer: asyncio.StreamWriter) -> None:
@@ -860,36 +855,12 @@ class ExploreServer:
         channel = self._inflight.get(key)
         if channel is None:
             self._admit(1, tenant)
-            channel = _LineChannel()
-            self._spawn_compute(
-                key, channel, lambda: self._sweep_sync(
-                    service, request, e_values, include_cross, channel))
+            channel = self._spawn_compute(key, partial(
+                self._sweep_sync, service, request, e_values, include_cross))
         else:
             self.counters["coalesced"] += 1
             _metric("server.coalesced")
-
-        sse = "text/event-stream" in headers.get("accept", "")
-        content_type = "text/event-stream" if sse \
-            else "application/x-ndjson"
-        trace_stamp = self._trace_stamp(headers)
-        writer.write(self._head(200, content_type))
-        await writer.drain()
-        line_no = 0
-        async for record in channel.subscribe():
-            line_no += 1
-            fault_point("server.stream", index=line_no)
-            if trace_stamp is not None:
-                record = {**record, "trace": trace_stamp}
-            text = json.dumps(record)
-            data = (b"data: " + text.encode() + b"\n\n") if sse \
-                else text.encode() + b"\n"
-            writer.write(data)
-            await writer.drain()
-        if channel.error is not None:
-            text = json.dumps({"type": "error", "error": channel.error})
-            writer.write((b"data: " + text.encode() + b"\n\n") if sse
-                         else text.encode() + b"\n")
-            await writer.drain()
+        await self._stream(writer, headers, self._lines(channel))
 
 
 async def _serve_async(config: ServeConfig) -> None:

@@ -972,6 +972,12 @@ class DesignStore:
         self._count_lookup("fitted_models", state)
         return state
 
+    def has_fitted_model(self, key: str) -> bool:
+        """Whether a row exists under ``key`` (no counters touched)."""
+        return self._with_connection(lambda con: con.execute(
+            "SELECT 1 FROM fitted_models WHERE key=?", (key,)).fetchone()
+        ) is not None
+
     def put_fitted_model(self, key: str, state: dict) -> None:
         """Store (or replace a corrupt) fitted state under ``key``."""
         text = canonical_json(state)

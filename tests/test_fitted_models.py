@@ -164,7 +164,24 @@ class TestHitIdentity:
                          store=DesignStore(tmp_path / "a.sqlite"))
         other = DesignStore(tmp_path / "b.sqlite")
         assert get_case("redwine", "svm_r", store=other) is first
-        assert other.stats()["fitted_models"] == 0
+        # the memo hit still gives the second store its row
+        assert other.stats()["fitted_models"] == 1
+
+    def test_memo_hit_puts_a_missing_row_and_leaves_hits_alone(
+            self, tmp_path, monkeypatch, empty_memo):
+        calls = _fit_counter(monkeypatch)
+        holder = DesignStore(tmp_path / "holder.sqlite")
+        case = get_case("redwine", "svm_r", store=holder)
+        assert holder.get_fitted_model(_key(case)) is not None  # one hit
+        fresh = DesignStore(tmp_path / "fresh.sqlite")
+        assert get_case("redwine", "svm_r", store=fresh) is case
+        assert get_case("redwine", "svm_r", store=holder) is case
+        assert calls == ["LinearSVMRegressor"]  # memo hits never refit
+        assert fresh.stats()["fitted_models"] == 1
+        assert fresh.stats()["fitted_models_hits"] == 0
+        assert holder.stats()["fitted_models_hits"] == 1
+        assert canonical_json(fresh.get_fitted_model(_key(case))) \
+            == _state_json(case.float_model)
 
     def test_remote_store_misses_and_writes_nothing(self, empty_memo):
         class _NoWire:

@@ -37,6 +37,7 @@ from pathlib import Path
 import pytest
 
 from repro.service import DesignStore, ExplorationService
+from repro.service.faults import FaultInjector, installed
 from repro.service.jobs import ExplorationJob
 from repro.service.jsonl import read_jsonl
 from repro.service.runner import ExploreRequest
@@ -105,6 +106,21 @@ def design_lines(body: str) -> list[str]:
 
 def parse_lines(body: str) -> list[dict]:
     return [json.loads(line) for line in body.splitlines() if line.strip()]
+
+
+def gate_explore(monkeypatch):
+    """Hold every server computation (``ExplorationService.explore``,
+    run under the semaphore) until ``gate`` is set; ``entered`` marks
+    that one really started, so a gated test cannot pass vacuously."""
+    gate, entered = threading.Event(), threading.Event()
+    original = ExplorationService.explore
+
+    def gated(self, *args, **kwargs):
+        entered.set()
+        assert gate.wait(timeout=30)
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(ExplorationService, "explore", gated)
+    return gate, entered
 
 
 class TestConformance:
@@ -249,6 +265,99 @@ class TestConformance:
         assert kinds.count("coeff") == 2 and kinds.count("request") == 2
         assert records[-1]["kind"] == "sweep"
 
+    def test_sweep_lines_byte_identical_to_run_sweep(self, tmp_path):
+        spec = {"dataset": "redwine", "model": "svm_r", "tau_grid": GRID,
+                "e_values": [2, 3]}
+
+        async def run():
+            async with running_server(tmp_path) as server:
+                return await http(server.port, "POST", "/v1/sweep",
+                                  dict(spec))
+        _status, _head, served = asyncio.run(run())
+
+        service = ExplorationService(DesignStore(tmp_path / "serial.sqlite"))
+        out = io.StringIO()
+        service.run_sweep(ExploreRequest.from_dict(
+            {"dataset": "redwine", "model": "svm_r", "tau_grid": GRID}),
+            (2, 3), out)
+
+        def stable(text):  # the per-run fields dropped, bytes otherwise
+            lines = []
+            for line in text.splitlines():
+                record = json.loads(line)
+                if "runtime_s" in record or "store" in record:
+                    record.pop("runtime_s", None)
+                    record.pop("store", None)
+                    line = json.dumps(record)
+                lines.append(line)
+            return lines
+        assert len(served.splitlines()) > 4
+        assert stable(served) == stable(out.getvalue())
+
+    def test_warm_response_is_a_constant_number_of_writes(
+            self, tmp_path, monkeypatch):
+        writes: dict[int, list[bytes]] = {}
+        original = asyncio.StreamWriter.write
+
+        def counted(self, data):
+            writes.setdefault(id(self), []).append(bytes(data))
+            return original(self, data)
+        monkeypatch.setattr(asyncio.StreamWriter, "write", counted)
+        small = REQ
+        large = {key: value for key, value in REQ.items()
+                 if key != "tau_grid"}  # the paper's 20-point grid
+
+        async def warm_writes(server, request):
+            await http(server.port, "POST", "/v1/explore", request)
+            writes.clear()
+            _s, _h, body = await http(server.port, "POST", "/v1/explore",
+                                      request)
+            served = [chunks for chunks in writes.values()
+                      if chunks[0].startswith(b"HTTP/1.1 200")]
+            assert len(served) == 1
+            return len(design_lines(body)), len(served[0])
+
+        async def run():
+            async with running_server(tmp_path) as server:
+                return (await warm_writes(server, small),
+                        await warm_writes(server, large))
+        (n_small, w_small), (n_large, w_large) = asyncio.run(run())
+        assert n_large > n_small > 0
+        # head, the request's lines, the summary — whatever N is
+        assert w_small == w_large == 3
+
+    @pytest.mark.parametrize("sse", [False, True], ids=["ndjson", "sse"])
+    def test_stream_fault_leaves_only_complete_lines(self, tmp_path, sse):
+        headers = {"Accept": "text/event-stream"} if sse else {}
+        sep = "\n\n" if sse else "\n"
+
+        async def run():
+            async with running_server(tmp_path) as server:
+                _s, _h, full = await http(server.port, "POST",
+                                          "/v1/explore", REQ, headers)
+                cut = {}
+                for k in (1, 2, 4):
+                    with installed(FaultInjector.parse(
+                            f"server.stream@index={k}:1=err")):
+                        cut[k] = await http(server.port, "POST",
+                                            "/v1/explore", REQ, headers)
+                return full, cut
+        full, cut = asyncio.run(run())
+        full_lines = full.split(sep)[:-1]
+        assert len(full_lines) > 4
+        for k, (status, _head, body) in cut.items():
+            assert status == 200
+            assert body == "" or body.endswith(sep)  # no partial line
+            lines = body.split(sep)[:-1] if body else []
+            assert len(lines) == k - 1
+            for line, whole in zip(lines, full_lines):
+                if sse:
+                    assert line.startswith("data: ")
+                    line, whole = line[6:], whole[6:]
+                record = json.loads(line)
+                if record["type"] == "design":
+                    assert line == whole
+
     def test_invalid_requests_rejected(self, tmp_path):
         async def run():
             async with running_server(tmp_path) as server:
@@ -369,13 +478,7 @@ class TestConcurrency:
 
     def test_queue_full_gets_429_with_retry_after(
             self, tmp_path, monkeypatch):
-        gate = threading.Event()
-        original = ExplorationService.run_manifest
-
-        def gated(self, manifest, out, resume=True):
-            assert gate.wait(timeout=30)
-            return original(self, manifest, out, resume=resume)
-        monkeypatch.setattr(ExplorationService, "run_manifest", gated)
+        gate, entered = gate_explore(monkeypatch)
 
         async def run():
             async with running_server(tmp_path, concurrency=1,
@@ -394,6 +497,7 @@ class TestConcurrency:
                 done = await first
                 return busy, done
         busy, done = asyncio.run(run())
+        assert entered.is_set()
         status, head, body = busy
         assert status == 429
         assert "Retry-After: 1" in head
@@ -401,17 +505,43 @@ class TestConcurrency:
         assert done[0] == 200
         assert parse_lines(done[2])[-1]["type"] == "summary"
 
+    def test_stored_grid_is_served_while_the_queue_is_full(
+            self, tmp_path, monkeypatch):
+        gate, entered = gate_explore(monkeypatch)
+
+        async def run():
+            async with running_server(tmp_path, concurrency=1,
+                                      queue_depth=0) as server:
+                gate.set()
+                _s, _h, first = await http(server.port, "POST",
+                                           "/v1/explore", REQ)
+                gate.clear()
+                entered.clear()
+                cold = asyncio.ensure_future(
+                    http(server.port, "POST", "/v1/explore",
+                         {**REQ, "tau_grid": [0.8, 0.9]}))
+                for _ in range(500):
+                    if entered.is_set():
+                        break
+                    await asyncio.sleep(0.01)
+                assert entered.is_set() and server._admitted == 1
+                warm = await http(server.port, "POST", "/v1/explore", REQ)
+                gate.set()
+                await cold
+                return first, warm, dict(server.counters)
+        first, warm, counters = asyncio.run(run())
+        status, _head, body = warm
+        assert status == 200  # not 429: a stored grid costs no slot
+        assert parse_lines(body)[0]["grid_hit"] is True
+        assert design_lines(body) == design_lines(first)
+        assert counters["computed"] == 2  # the two cold requests only
+        assert counters["rejected_busy"] == 0
+
 
 class TestDrain:
     def test_in_process_drain_finishes_inflight_stream(
             self, tmp_path, monkeypatch):
-        gate = threading.Event()
-        original = ExplorationService.run_manifest
-
-        def gated(self, manifest, out, resume=True):
-            assert gate.wait(timeout=30)
-            return original(self, manifest, out, resume=resume)
-        monkeypatch.setattr(ExplorationService, "run_manifest", gated)
+        gate, entered = gate_explore(monkeypatch)
 
         async def run():
             async with running_server(tmp_path, concurrency=1) as server:
@@ -433,6 +563,7 @@ class TestDrain:
                     refused = True
                 return status, body, refused
         status, body, refused = asyncio.run(run())
+        assert entered.is_set()
         assert status == 200
         records = parse_lines(body)
         assert records[-1]["type"] == "summary"  # stream completed

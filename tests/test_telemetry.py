@@ -342,12 +342,14 @@ class TestServerTelemetry:
 
     def test_request_id_on_429_and_drain_503(self, tmp_path, monkeypatch):
         gate = threading.Event()
-        original = ExplorationService.run_manifest
+        entered = threading.Event()
+        original = ExplorationService.explore
 
-        def gated(self, manifest, out, resume=True):
+        def gated(self, *args, **kwargs):
+            entered.set()
             assert gate.wait(timeout=30)
-            return original(self, manifest, out, resume=resume)
-        monkeypatch.setattr(ExplorationService, "run_manifest", gated)
+            return original(self, *args, **kwargs)
+        monkeypatch.setattr(ExplorationService, "explore", gated)
 
         async def run():
             async with running_server(tmp_path, concurrency=1,
@@ -370,6 +372,7 @@ class TestServerTelemetry:
                 await first
                 return busy, drained
         busy, drained = asyncio.run(run())
+        assert entered.is_set()  # the gate held the running computation
         assert busy[0] == 429
         assert response_request_id(busy[1]) == "busy-rid"
         assert drained[0] == 503
@@ -401,9 +404,9 @@ class TestServerTelemetry:
                          r'table="grids"\} \d+', text)
         assert 'repro_server_requests_total{endpoint="/v1/explore"} 2' \
             in text
-        # both requests spawn a compute (the warm one resolves off the
-        # store inside it); the cold/warm split is the runner's counter
-        assert "repro_server_computed_total 2" in text
+        # only the cold request computes: a stored grid is served
+        # without a queue slot, and the runner still counts both outcomes
+        assert "repro_server_computed_total 1" in text
         assert 'repro_service_requests_total{outcome="computed"} 1' \
             in text
         assert 'repro_service_requests_total{outcome="grid_hit"} 1' \
@@ -418,7 +421,7 @@ class TestServerTelemetry:
         assert set(payload) == {"type", "counters", "gauges",
                                 "histograms", "server"}
         assert payload["gauges"]["server.draining"] == 0
-        assert payload["server"]["counters"]["computed"] == 2
+        assert payload["server"]["counters"]["computed"] == 1
 
     def test_x_trace_opt_in_keeps_default_lines_identical(self, tmp_path):
         async def run():
