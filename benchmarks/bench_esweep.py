@@ -26,19 +26,20 @@ Per circuit, the identical per-``e`` coefficient design family
   the subsystem's steady state — sweeps are resumable store-backed
   jobs — and carries the ≥3x acceptance floor.
 
-Schema 2 additionally isolates the **bespoke build stage** — the
+The report also isolates the **bespoke build stage** — the
 per-radius netlist construction every cold path above shares.  The
 same per-``e`` approximated models (derived outside the timed region)
-are built through the per-gate oracle (``builder="gate"``) and the
-array emitter (``builder="array"``); the ratio is regression-gated at
-≥2x, and a gate-builder cold sweep is timed alongside the default so
-``cold_builder_ratio`` records what array emission buys the whole
-sweep.
+are built through the per-gate oracle (the raw
+``build_bespoke_netlist(m, optimize=False)`` build, then
+``synthesize``) and the shipped array emitter
+(``build_bespoke_netlist(m)``); the ratio is regression-gated at ≥2x.
+Schema 3 drops schema 2's gate-builder cold sweep along with the
+``builder=`` selector it ran through; the seed per-e pipeline still
+builds per-gate and checks through ``synthesize_reference`` + bigint.
 
-Identity is asserted across *all* paths per run — including the
-gate-builder sweep, which must be design-identical to the array one —
-plus a store-backed cross sweep (small tau grid) whose warm re-run
-must be all-hits and record-identical to cold.
+Identity is asserted across *all* paths per run, plus a store-backed
+cross sweep (small tau grid) whose warm re-run must be all-hits and
+record-identical to cold.
 
 Exit status (full runs): warm sweep ≥ 3x the naive loop on ≥ 3 of the
 5 circuits, cold sweep ≥ 2.2x on ≥ 3, array-vs-gate build stage ≥ 2x
@@ -68,7 +69,7 @@ from repro.core.multiplier_area import default_library  # noqa: E402
 from repro.eval.accuracy import CircuitEvaluator  # noqa: E402
 from repro.experiments.zoo import get_case  # noqa: E402
 from repro.hw.bespoke import build_bespoke_netlist  # noqa: E402
-from repro.hw.synthesis import synthesize_reference  # noqa: E402
+from repro.hw.synthesis import synthesize, synthesize_reference  # noqa: E402
 from repro.service import DesignStore, ExplorationService  # noqa: E402
 from repro.service.runner import ExploreRequest  # noqa: E402
 
@@ -141,16 +142,15 @@ def bench_circuit(dataset: str, kind: str, e_values, repeats: int,
                 evaluator.evaluate(synthesize_reference(raw)))))
         return rows
 
-    def cold_sweep(builder: str = "auto"):
-        framework = CrossLayerFramework(clock_ms=case.clock_ms,
-                                        builder=builder)
+    def cold_sweep():
+        framework = CrossLayerFramework(clock_ms=case.clock_ms)
         return framework.sweep_e(model, split.X_train, split.X_test,
                                  split.y_test, e_values=e_values,
                                  include=("coeff",))
 
     # The bespoke build stage in isolation: the same per-e approximated
     # models (derived outside the timed region — the area search is not
-    # under test here) built through both builder paths.
+    # under test here) built per-gate (the oracle) and array-emitted.
     approx_models = []
     for e in e_values:
         approximator = CoefficientApproximator(
@@ -158,16 +158,19 @@ def bench_circuit(dataset: str, kind: str, e_values, repeats: int,
         approx_model, _reports = approximator.approximate_model(model)
         approx_models.append(approx_model)
 
-    def build_stage(builder: str):
+    def build_stage_gate():
         for approx_model in approx_models:
-            build_bespoke_netlist(approx_model, builder=builder)
+            synthesize(build_bespoke_netlist(approx_model, optimize=False))
+
+    def build_stage_array():
+        for approx_model in approx_models:
+            build_bespoke_netlist(approx_model)
 
     naive_s, naive_rows = _repeat(naive_loop, repeats)
     seed_s, seed_rows = _repeat(seed_loop, max(1, repeats - 1))
     cold_s, sweep_result = _repeat(cold_sweep, repeats)
-    cold_gate_s, sweep_gate = _repeat(lambda: cold_sweep("gate"), repeats)
-    build_gate_s, _ = _repeat(lambda: build_stage("gate"), repeats + 2)
-    build_array_s, _ = _repeat(lambda: build_stage("array"), repeats + 2)
+    build_gate_s, _ = _repeat(build_stage_gate, repeats + 2)
+    build_array_s, _ = _repeat(build_stage_array, repeats + 2)
 
     # The shipped sweep: store-backed, then re-run warm (pure lookups).
     store = DesignStore(scratch / f"{dataset}_{kind}.sqlite")
@@ -183,9 +186,7 @@ def bench_circuit(dataset: str, kind: str, e_values, repeats: int,
 
     sweep_records = [(e, _point_tuple(sweep_result.coeff_point(e)))
                      for e in e_values]
-    gate_records = [(e, _point_tuple(sweep_gate.coeff_point(e)))
-                    for e in e_values]
-    identical = (sweep_records == gate_records == naive_rows == seed_rows
+    identical = (sweep_records == naive_rows == seed_rows
                  == [(e, _record_tuple(r))
                      for e, r, *_rest in store_cold]
                  == [(e, _record_tuple(r)) for e, r, *_rest in warm])
@@ -217,14 +218,12 @@ def bench_circuit(dataset: str, kind: str, e_values, repeats: int,
         "naive_loop_s": naive_s,
         "seed_loop_s": seed_s,
         "sweep_cold_s": cold_s,
-        "sweep_cold_gate_s": cold_gate_s,
         "sweep_store_cold_s": store_cold_s,
         "sweep_warm_s": warm_s,
         "build_gate_s": build_gate_s,
         "build_array_s": build_array_s,
         "build_ratio": build_gate_s / build_array_s,
         "speedup_cold": naive_s / cold_s,
-        "cold_builder_ratio": cold_gate_s / cold_s,
         "speedup_warm": naive_s / warm_s,
         "identical_designs": identical,
         "warm_all_hits": warm_all_hits,
@@ -288,7 +287,7 @@ def main(argv=None) -> int:
                         and row["cross_warm_identical"]
                         and row["cross_warm_all_hits"] for row in rows)
     report = {
-        "schema": 2,
+        "schema": 3,
         "smoke": args.smoke,
         "e_values": list(e_values),
         "circuits": rows,

@@ -117,13 +117,11 @@ def _open_service(args: argparse.Namespace):
         return ExplorationService(store, n_workers=args.workers,
                                   engine=args.engine,
                                   shard_size=args.shard_size,
-                                  identity=args.identity,
-                                  builder=getattr(args, "builder", "auto"))
+                                  identity=args.identity)
     return ExplorationService(args.store, n_workers=args.workers,
                               engine=args.engine,
                               shard_size=args.shard_size,
-                              identity=args.identity,
-                              builder=getattr(args, "builder", "auto"))
+                              identity=args.identity)
 
 
 def _out_stream(path: str | None):
@@ -283,7 +281,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         concurrency=args.concurrency, queue_depth=args.queue_depth,
         n_workers=args.workers, engine=args.engine,
         shard_size=args.shard_size, identity=args.identity,
-        builder=args.builder,
         events_log=args.events_log, trace_sample=args.trace_sample))
     return 0
 
@@ -364,13 +361,6 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
                              "axis for speed (identical accuracies and "
                              "coordinates, gate/area records within a "
                              "documented tolerance)")
-    parser.add_argument("--builder", default="auto",
-                        choices=("auto", "array", "gate"),
-                        help="bespoke netlist build path: 'array' is the "
-                             "fast array-level emitter, 'gate' the "
-                             "per-gate oracle builder; both produce "
-                             "gate-for-gate identical circuits "
-                             "(default: auto = array)")
     parser.add_argument("--shard-size", type=int, default=4,
                         help="tau_c chains per checkpoint shard")
     parser.add_argument("--resume", action="store_true", default=True,
@@ -491,10 +481,6 @@ def main(argv: list[str] | None = None) -> int:
                         choices=("exact", "relaxed"),
                         help="default record-identity mode for requests "
                              "that do not set one (default: exact)")
-    server.add_argument("--builder", default="auto",
-                        choices=("auto", "array", "gate"),
-                        help="bespoke netlist build path for cold misses "
-                             "(default: auto = array)")
     server.add_argument("--shard-size", type=int, default=4,
                         help="tau_c chains per checkpoint shard")
     server.add_argument("--events-log", default=None,

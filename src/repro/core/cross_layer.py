@@ -23,8 +23,8 @@ import time
 from dataclasses import dataclass, field
 
 from ..eval.accuracy import CircuitEvaluator, EvaluationRecord
+from ..hw.array_builder import build_bespoke_arrays
 from ..hw.bespoke import build_bespoke_netlist
-from ..hw.synthesis import ArrayCircuit, synthesize_arrays
 from .coeff_approx import ApproximatedSum, CoefficientApproximator
 from .multiplier_area import BespokeMultiplierLibrary
 from .pareto import best_within_accuracy_loss, pareto_front
@@ -233,12 +233,6 @@ class CrossLayerFramework:
             the tau axis; accuracies/coordinates stay identical, gate
             and area records may differ within the documented
             tolerance).  See :class:`~repro.core.pruning.NetlistPruner`.
-        builder: bespoke netlist construction path — ``"auto"``
-            (default: the array-level emitter), ``"array"``, or
-            ``"gate"`` (the per-gate oracle builder).  Both produce
-            gate-for-gate identical netlists and byte-identical design
-            lists; the selector is a pure performance knob for the cold
-            build stage.  See :mod:`repro.hw.array_builder`.
     """
 
     def __init__(self, e: int = 4, strategy: str = "auto",
@@ -248,11 +242,7 @@ class CrossLayerFramework:
                  n_workers: int | None = None,
                  engine: str = "auto",
                  store=None,
-                 identity: str = "exact",
-                 builder: str = "auto") -> None:
-        if builder not in ("auto", "array", "gate"):
-            raise ValueError(f"unknown builder {builder!r} "
-                             "(expected 'auto', 'array' or 'gate')")
+                 identity: str = "exact") -> None:
         self.approximator = CoefficientApproximator(
             library=library, e=e, strategy=strategy)
         self.tau_grid = tau_grid
@@ -264,7 +254,6 @@ class CrossLayerFramework:
             store = DesignStore(store)
         self.store = store
         self.identity = identity
-        self.builder = builder
 
     def _pruned_designs(self, pruner: NetlistPruner, label: str,
                         grid_meta: dict | None = None):
@@ -313,12 +302,11 @@ class CrossLayerFramework:
         skip both the area search *and* the rebuild.
         """
         if self.store is None:
-            return build_bespoke_netlist(approx_model, name=name,
-                                         builder=self.builder)
+            return build_bespoke_netlist(approx_model, name=name)
         from ..service.store import build_coeff_netlist_cached
         netlist, _hit = build_coeff_netlist_cached(
             approximator or self.approximator, model, self.store,
-            name=name, approx_model=approx_model, builder=self.builder)
+            name=name, approx_model=approx_model)
         return netlist
 
     def explore(self, model, X_train01, X_test01, y_test,
@@ -335,8 +323,7 @@ class CrossLayerFramework:
             engine=self.engine, identity=self.identity)
         points: list[DesignPoint] = []
 
-        exact_netlist = build_bespoke_netlist(model, name=f"{name}_exact",
-                                              builder=self.builder)
+        exact_netlist = build_bespoke_netlist(model, name=f"{name}_exact")
 
         coeff_reports: list[ApproximatedSum] = []
         coeff_netlist = None
@@ -424,8 +411,7 @@ class CrossLayerFramework:
             engine=self.engine, identity=self.identity)
         e_values = tuple(int(e) for e in e_values)
 
-        exact_netlist = build_bespoke_netlist(model, name=f"{name}_exact",
-                                              builder=self.builder)
+        exact_netlist = build_bespoke_netlist(model, name=f"{name}_exact")
         want_cross = "cross" in include
         # Array-form variants skip netlist materialization, but only
         # the compiled engines can consume them (the bigint oracle
@@ -441,17 +427,8 @@ class CrossLayerFramework:
             approx_model, reports = self._approximate(model, approximator)
             reports_by_e[e] = reports
             if as_arrays:
-                if self.builder == "gate":
-                    raw = build_bespoke_netlist(
-                        approx_model, name=f"{name}_coeff_e{e}",
-                        optimize=False, builder="gate")
-                    folded, _node_map = synthesize_arrays(
-                        ArrayCircuit.from_netlist(raw)[0])
-                else:
-                    from ..hw.array_builder import build_bespoke_arrays
-                    folded = build_bespoke_arrays(
-                        approx_model, name=f"{name}_coeff_e{e}")
-                variants.append((e, approx_model, folded))
+                variants.append((e, approx_model, build_bespoke_arrays(
+                    approx_model, name=f"{name}_coeff_e{e}")))
             else:
                 variants.append((e, approx_model, self._coeff_netlist(
                     model, approx_model, name=f"{name}_coeff_e{e}",

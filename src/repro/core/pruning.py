@@ -295,16 +295,15 @@ def _needs_netlist(evaluator: CircuitEvaluator) -> bool:
                                   and not HOST_SUPPORTS_COMPILED)
 
 
-def _apply_step(base: ArrayCircuit, state: tuple | None,
-                force: dict[int, int],
-                incremental: bool) -> tuple[tuple, ArrayCircuit]:
+def _apply_step(base: ArrayCircuit, state: tuple,
+                force: dict[int, int]) -> tuple[tuple, ArrayCircuit]:
     """Synthesize one prune set, reusing the previous chain state.
 
     ``state`` is ``(incremental circuit, base-node → state-node map,
-    pruned gate set)`` of the previous (subset) prune step, or ``None``
-    for the first step.  With ``incremental`` enabled, only the delta
-    gates are tied onto the previous (mutable, already-folded) circuit —
-    located through the node map
+    pruned gate set)`` of the previous (subset) prune step, or the
+    chain-root state (:func:`_root_state`) for the first step.  Only the
+    delta gates are tied onto the previous (mutable, already-folded)
+    circuit — located through the node map
     (:meth:`~repro.hw.incremental.IncrementalCircuit.tie_gates`) —
     instead of resynthesizing the base circuit; state node ids are
     stable, so the root map serves the whole chain.  Returns the new
@@ -315,22 +314,17 @@ def _apply_step(base: ArrayCircuit, state: tuple | None,
     a rewrite cascade trips the safety cap — correctness first, reuse
     second.
     """
-    n_fixed = base.n_fixed
-    if incremental and state is not None:
-        inc, base_map, prev_gates = state
-        delta = [(gate_idx, value) for gate_idx, value in force.items()
-                 if gate_idx not in prev_gates]
-        applied = inc.tie_gates([gate for gate, _value in delta],
-                                [value for _gate, value in delta],
-                                base_map)
-        if applied is not None:
-            return (inc, base_map, set(force)), inc.snapshot()
-    force_by_node = {n_fixed + gate_idx: value
+    inc, base_map, prev_gates = state
+    delta = [(gate_idx, value) for gate_idx, value in force.items()
+             if gate_idx not in prev_gates]
+    applied = inc.tie_gates([gate for gate, _value in delta],
+                            [value for _gate, value in delta],
+                            base_map)
+    if applied is not None:
+        return (inc, base_map, set(force)), inc.snapshot()
+    force_by_node = {base.n_fixed + gate_idx: value
                      for gate_idx, value in force.items()}
     pruned, chain_map = synthesize_arrays(base, force_by_node)
-    if not incremental:
-        # No chain state to carry (and nothing for the trie to fork).
-        return None, pruned
     state = (IncrementalCircuit.from_arrays(pruned), chain_map, set(force))
     return state, pruned
 
@@ -354,33 +348,24 @@ def _root_state(base: ArrayCircuit) -> tuple:
 def _explore_chain(base: ArrayCircuit, evaluator: CircuitEvaluator,
                    tau_c: float,
                    steps: list[tuple[int, dict[int, int]]],
-                   incremental: bool,
-                   known_records: dict | None = None,
-                   root_state: tuple | None = None) -> list[tuple]:
+                   root_state: tuple) -> list[tuple]:
     """Evaluate one tau_c chain; returns (phi_c, key, n_pruned, record) rows."""
     rows = []
-    state: tuple | None = root_state
+    state = root_state
     as_netlist = _needs_netlist(evaluator)
     for phi_c, force in steps:
         if not force:
             continue
-        key = frozenset(force)
-        state, variant = _apply_step(base, state, force, incremental)
-        if known_records is not None and key in known_records:
-            record = known_records[key]
-        else:
-            record = _evaluate_variant(evaluator, variant, as_netlist)
-            if known_records is not None:
-                known_records[key] = record
-        rows.append((phi_c, key, len(force), record))
+        state, variant = _apply_step(base, state, force)
+        record = _evaluate_variant(evaluator, variant, as_netlist)
+        rows.append((phi_c, frozenset(force), len(force), record))
     return rows
 
 
 def _explore_trie(base: ArrayCircuit, evaluator: CircuitEvaluator,
                   chains: list[tuple[float, list]],
-                  incremental: bool,
-                  known_records: dict | None = None,
-                  root_state: tuple | None = None) -> list[list[tuple]]:
+                  known_records: dict | None,
+                  root_state: tuple) -> list[list[tuple]]:
     """Evaluate all chains at once, sharing work across equal prefixes.
 
     Chains whose prune-set sequences share a prefix (extremely common:
@@ -393,7 +378,7 @@ def _explore_trie(base: ArrayCircuit, evaluator: CircuitEvaluator,
     results: list[list[tuple]] = [[] for _ in chains]
     as_netlist = _needs_netlist(evaluator)
 
-    def visit(chain_ids: list[int], depth: int, state: tuple | None) -> None:
+    def visit(chain_ids: list[int], depth: int, state: tuple) -> None:
         groups: dict[frozenset, list[int]] = {}
         for ci in chain_ids:
             steps = chains[ci][1]
@@ -403,13 +388,12 @@ def _explore_trie(base: ArrayCircuit, evaluator: CircuitEvaluator,
         for position, (key, ids) in enumerate(group_items):
             # Sibling branches mutate the chain state in place, so every
             # branch but the last works on a fork of the shared prefix.
-            if state is not None and position < len(group_items) - 1:
+            if position < len(group_items) - 1:
                 branch_state = (state[0].fork(), state[1], state[2])
             else:
                 branch_state = state
             force = chains[ids[0]][1][depth][1]
-            next_state, variant = _apply_step(base, branch_state, force,
-                                              incremental)
+            next_state, variant = _apply_step(base, branch_state, force)
             if known_records is not None and key in known_records:
                 record = known_records[key]
             else:
@@ -461,9 +445,10 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
       only when a variant has shrunk below ``_PLAN_REFRESH`` of the
       plan its chain inherited; between refreshes a variant is
       described against the epoch plan by its accumulated clamp set
-      (union of applied ``tie`` constants, restricted to plan nodes —
-      clamps on newer helper nodes are unreadable by construction and
-      drop out) plus the live helper gates created since the epoch.
+      (union of applied ``tie`` constants) plus the live helper gates
+      created since the epoch.  A tie that clamps one of those helper
+      nodes ends the epoch: the plan has no slot for the clamp, so the
+      next capture re-plans.
       Simulations therefore track variant size without one plan per
       variant, and the clamped-parent waveforms equal the rewritten
       variant's exactly (cone rewriting only replaces nodes with
@@ -565,14 +550,21 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
         pending[key] = (plan, inc.variant_spec(dict(clamps), plan_slots))
 
     def merge_clamps(state: list, applied: dict) -> None:
-        """Fold a tie's applied clamp map into the state's epoch clamps."""
+        """Fold a tie's applied clamp map into the state's epoch clamps.
+
+        A clamp on a helper node created since the epoch began has no
+        slot in the epoch plan, so it cannot be expressed as a clamp:
+        the state re-plans instead (the next capture starts a fresh
+        epoch on the current circuit).
+        """
         plan = state[3]
-        if plan is not None:
-            plan_nets = plan.n_nets
-            clamps = state[5]
-            for node, value in applied.items():
-                if node < plan_nets:
-                    clamps[node] = value
+        if plan is None:
+            return
+        plan_nets = plan.n_nets
+        if any(node >= plan_nets for node in applied):
+            state[3] = None
+            return
+        state[5].update(applied)
 
     def refold(state: list, ci: int, count: int, key: bytes) -> list:
         """Rebuild a state's prune-set prefix from scratch, in place.
@@ -836,36 +828,33 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
 
 
 # Worker-side state for the process pool: the (netlist, evaluator,
-# incremental, engine, pruning statistics) bundle is shipped once per
+# engine, pruning statistics) bundle is shipped once per
 # worker through the initializer instead of once per chain task.
 _WORKER_CONTEXT: dict = {}
 
 
 def _init_chain_worker(base: Netlist, evaluator: CircuitEvaluator,
-                       incremental: bool, use_batched: bool = False,
+                       use_batched: bool = False,
                        stats: tuple | None = None) -> None:
     circ, _ = ArrayCircuit.from_netlist(base)
-    root = _root_state(circ) if incremental else None
+    root = _root_state(circ)
     # Rebuild the PruneSpace worker-side from the shipped statistic
     # arrays (tau, const_value, phi) — the batched walk derives its
     # per-chain candidate prefixes from it, so workers never receive
     # per-step force dicts at all on that engine.
     space = PruneSpace(base, *stats) if stats is not None else None
-    _WORKER_CONTEXT["args"] = (circ, evaluator, incremental, root,
-                               use_batched, space)
+    _WORKER_CONTEXT["args"] = (circ, evaluator, root, use_batched, space)
 
 
 def _run_chain_task(task: tuple) -> list[tuple]:
-    base, evaluator, incremental, root, use_batched, space = \
-        _WORKER_CONTEXT["args"]
+    base, evaluator, root, use_batched, space = _WORKER_CONTEXT["args"]
     tau_c, steps = task
     # Pool workers inherit REPRO_FAULTS through the environment, so a
     # scheduled worker death ("exit"/"kill") fires here — the parent
     # sees a broken pool and the supervision path takes over.
     fault_point("worker.chain", tau=tau_c)
-    chain_root = (root[0].fork(), root[1], root[2]) if root is not None \
-        else None
-    if use_batched and chain_root is not None:
+    chain_root = (root[0].fork(), root[1], root[2])
+    if use_batched:
         # The ROADMAP open item: pool workers run the *batched* walk.
         # One chain is a one-chain trie; keys/records/row shapes match
         # the serial batched walk exactly, so serial == parallel holds
@@ -874,8 +863,7 @@ def _run_chain_task(task: tuple) -> list[tuple]:
                                      [(tau_c, steps)], None,
                                      root_state=chain_root)
         return rows[0]
-    return _explore_chain(base, evaluator, tau_c, steps, incremental,
-                          root_state=chain_root)
+    return _explore_chain(base, evaluator, tau_c, steps, chain_root)
 
 
 def assemble_designs(chains: list, chain_rows: list,
@@ -948,8 +936,6 @@ class NetlistPruner:
         evaluator: stimulus/scoring context; training activity defines
             tau, the test set scores every pruned variant.
         tau_grid: the tau_c sweep (defaults to the paper's 80..99%).
-        incremental: reuse each chain's previous pruned netlist when
-            applying the next (superset) prune set.
         n_workers: fan independent tau_c chains across a process pool;
             ``None``/``0``/``1`` stays serial, and pool failures fall
             back to the serial path automatically.  Workers run the
@@ -990,7 +976,6 @@ class NetlistPruner:
     netlist: Netlist
     evaluator: CircuitEvaluator
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
-    incremental: bool = True
     n_workers: int | None = None
     engine: str | None = None
     identity: str | None = None
@@ -1101,7 +1086,7 @@ class NetlistPruner:
         workers = n_workers if n_workers is not None else self.n_workers
         want_parallel = bool(workers and workers > 1)
         engine = self.resolved_engine()
-        use_batched = self.incremental and engine == "batched"
+        use_batched = engine == "batched"
         chains = self._build_chains(tau_values, space, use_batched)
 
         telemetry = _service_telemetry()
@@ -1161,7 +1146,7 @@ class NetlistPruner:
         memo = self._record_memo if deduplicate else None
         ladder = self._engine_ladder(engine)
         for rung, name in enumerate(ladder):
-            use_batched = self.incremental and name == "batched"
+            use_batched = name == "batched"
             if rung:
                 # Fallback rung: rebuild the steps in the form this
                 # engine's walk consumes (same chains either way).
@@ -1172,9 +1157,8 @@ class NetlistPruner:
             try:
                 fault_point(f"engine.{name}")
                 base_circ = self._base_circuit()
-                root = _root_state(base_circ) if self.incremental \
-                    else None
-                if root is not None and use_batched:
+                root = _root_state(base_circ)
+                if use_batched:
                     rows = _explore_trie_batched(base_circ, evaluator,
                                                  space, chains, memo,
                                                  root_state=root,
@@ -1182,8 +1166,7 @@ class NetlistPruner:
                                                  grid=self.tau_grid)
                 else:
                     rows = _explore_trie(base_circ, evaluator, chains,
-                                         self.incremental, memo,
-                                         root_state=root)
+                                         memo, root)
                 return chains, rows
             except Exception as exc:
                 if rung == len(ladder) - 1:
@@ -1220,8 +1203,8 @@ class NetlistPruner:
             self._pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_chain_worker,
-                initargs=(self.netlist, self.evaluator, self.incremental,
-                          use_batched, stats))
+                initargs=(self.netlist, self.evaluator, use_batched,
+                          stats))
             self._pool_key = key
         return self._pool
 

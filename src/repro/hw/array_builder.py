@@ -14,47 +14,45 @@ appends the gate rows of each arithmetic block — ripple adders,
 CSD/binary bespoke multipliers, balanced adder trees, ReLU, argmax and
 vote networks — directly into the flat opcode/operand row arrays of the
 :class:`~repro.hw.synthesis.ArrayCircuit` layout (node ids are
-``n_fixed + row``), applying ``_fold_arrays``'s folding rules *at
-emission time*: constant propagation, operand dedup, the symmetric
-inversion registry, MUX strength reduction, and the same int-packed
-structural-hashing keys.  Emission therefore lands directly on the fold
-fixpoint — a full circuit materializes as one pass over flat int lists
-plus one dead-gate strip, with no builder objects and no separate fold.
+``n_fixed + row``), through the scalar rules of
+:class:`~repro.hw.synthesis.FoldEmitter`: constant propagation, operand
+dedup, the symmetric inversion registry, MUX strength reduction, and
+int-packed structural hashing.  Emission therefore lands directly on the
+fold fixpoint — a full circuit materializes as one pass over flat int
+lists plus one dead-gate strip, with no builder objects and no separate
+fold.
 
 Why this is gate-for-gate identical to the per-gate builder
 -----------------------------------------------------------
 
 Construction through the :class:`~repro.hw.netlist.Netlist` folding
-builders *is* a streaming fold of the logical op sequence: the builders
-apply the same rules as ``_fold_arrays``, one op at a time, in emission
-order, and ``synthesize``'s extra pass over the result is a structural
-identity (see :func:`~repro.hw.synthesis.synthesize_arrays`).  Emitting
-the same logical sequence through the same rules lands on the same
-fixpoint, *provided* two things hold:
+builders *is* a streaming fold of the logical op sequence, and
+``synthesize``'s extra pass over the result is a structural identity
+(see :func:`~repro.hw.synthesis.synthesize_arrays`).  The array-side
+fold *is* a replay of the rows through the same ``FoldEmitter`` rules
+this module emits through, so there is no second copy of the rules to
+drift.  Emitting the same logical sequence therefore lands on the same
+fixpoint, provided the emitter reproduces the builder's op order
+exactly.  Every op-order decision in :mod:`repro.hw.blocks` (widths,
+range shortcuts, CSD digits, compare/select chains) is a pure function
+of the value ranges ``(lo, hi)`` and the hardwired coefficients, never
+of netlist state, so :class:`AVal` replicates them verbatim.  A fold
+pass over the emitted arrays is the identity transform
+(``changed == False``), an invariant the tests assert directly.
 
-* the emitter reproduces the builder's op order exactly.  Every
-  op-order decision in :mod:`repro.hw.blocks` (widths, range shortcuts,
-  CSD digits, compare/select chains) is a pure function of the value
-  ranges ``(lo, hi)`` and the hardwired coefficients, never of netlist
-  state, so :class:`AVal` replicates them verbatim;
-* the emitter's rules match ``_fold_arrays`` rule-for-rule, branch
-  order included, for the ops it emits (AND/OR/XOR/INV/MUX).  The
-  scalar helpers below mirror the fold pass's ``and_``/``or_``/
-  ``not_``/``mux_``/XOR dispatch line by line, so a fold pass over the
-  emitted arrays is the identity transform (``changed == False``) — an
-  invariant the equivalence tests assert directly.
-
-The per-gate builder stays on as the gate-for-gate oracle —
-``tests/test_array_builder.py`` pins the equivalence the same way
-``synthesize_reference`` pins ``synthesize``.
+The raw per-gate build (``build_bespoke_netlist(model, optimize=False)``)
+folded by ``synthesize_reference`` is the independent oracle —
+``tests/test_array_builder.py`` pins the builds against it
+gate-for-gate.
 """
 
 from __future__ import annotations
 
+from time import perf_counter
+
 from ..quant.qmodel import QuantMLP, QuantSVM
 from .blocks import binary_digits, bits_for_range, csd_digits
-from .compiled import OP_AND, OP_INV, OP_MUX, OP_OR, OP_XOR
-from .synthesis import ArrayCircuit, _strip_arrays
+from .synthesis import ArrayCircuit, FoldEmitter, _strip_arrays
 
 __all__ = [
     "ArrayEmitter",
@@ -64,45 +62,36 @@ __all__ = [
     "build_bespoke_arrays",
     "build_weighted_sum_arrays",
     "build_bespoke_multiplier_arrays",
+    "CLASS_OUTPUT",
+    "REGRESSOR_OUTPUT",
 ]
 
+CLASS_OUTPUT = "class_idx"
+REGRESSOR_OUTPUT = "y_out"
 
-class ArrayEmitter:
-    """Appends folded gate rows for one circuit; node ids ``n_fixed + row``.
+
+class ArrayEmitter(FoldEmitter):
+    """A :class:`~repro.hw.synthesis.FoldEmitter` with a circuit interface.
 
     Input buses must all be declared before the first gate row (the
     bespoke generators do; it is what keeps node ids final at emission
-    time).  The scalar emitters (:meth:`xor_`, :meth:`and_`, ...) apply
-    ``_fold_arrays``'s rules at emission — see the module docstring —
-    so the emitted arrays are already at the fold fixpoint and only the
+    time).  Every gate goes through the inherited scalar fold rules, so
+    the emitted arrays are already at the fold fixpoint and only the
     dead-gate strip remains.  ``finish``/``finish_synthesized`` package
     the rows as an :class:`~repro.hw.synthesis.ArrayCircuit`.
     """
 
-    __slots__ = ("name", "input_buses", "n_fixed", "ops", "ina", "inb",
-                 "inc", "levels", "outputs", "signed", "meta", "watch",
-                 "_inv", "_cse", "_node_level")
+    __slots__ = ("name", "input_buses", "outputs", "signed", "meta",
+                 "watch")
 
     def __init__(self, name: str = "netlist") -> None:
+        super().__init__()
         self.name = name
         self.input_buses: dict[str, list[int]] = {}
-        self.n_fixed = 2  # nodes 0/1 are the constant ties
-        self.ops: list[int] = []
-        self.ina: list[int] = []
-        self.inb: list[int] = []
-        self.inc: list[int] = []
-        self.levels: list[int] = []
         self.outputs: dict[str, list[int]] = {}
         self.signed: dict[str, bool] = {}
         self.meta: dict = {}
         self.watch: list[list[int]] | None = None
-        # Known inverses (symmetric), mirroring the fold pass's inv_of:
-        # INV rows only ever come from not_, registered both ways.
-        self._inv: dict[int, int] = {}
-        # Structural-hashing table with _fold_arrays's int-packed keys.
-        self._cse: dict[int, int] = {}
-        # Topological depth per node id (constants and inputs at 0).
-        self._node_level: list[int] = [0, 0]
 
     # -- interface -----------------------------------------------------
     def input_bus(self, name: str, width: int) -> "AVal":
@@ -127,281 +116,23 @@ class ArrayEmitter:
         self.outputs[name] = list(value.nets)
         self.signed[name] = value.signed if signed is None else signed
 
-    # -- scalar row emitters (the fold rules, applied at emission) ------
-    def row(self, op: int, a: int, b: int = 0, c: int = 0) -> int:
-        """Append one gate row unconditionally; returns its node id.
-
-        Callers are responsible for structural-hash registration; the
-        unused operand slots default to node 0 (level 0), so the level
-        computation is uniform across arities.
-        """
-        lvl = self._node_level
-        la, lb, lc = lvl[a], lvl[b], lvl[c]
-        level = (la if la > lb else lb)
-        level = (level if level > lc else lc) + 1
-        node = self.n_fixed + len(self.ops)
-        self.ops.append(op)
-        self.ina.append(a)
-        self.inb.append(b)
-        self.inc.append(c)
-        self.levels.append(level)
-        lvl.append(level)
-        return node
-
-    def not_(self, x: int) -> int:
-        if x < 2:
-            return 1 - x
-        inv = self._inv.get(x)
-        if inv is None:
-            inv = self.row(OP_INV, x)
-            self._inv[x] = inv
-            self._inv[inv] = x
-        return inv
-
-    def _gate2(self, op: int, a: int, b: int) -> int:
-        # Commutative cells hash with sorted operands but keep the
-        # builder-given operand order, matching _fold_arrays.gate2.
-        key = (op | (b << 4) | (a << 34)) if a > b \
-            else (op | (a << 4) | (b << 34))
-        hit = self._cse.get(key)
-        if hit is not None:
-            return hit
-        out = self.row(op, a, b)
-        self._cse[key] = out
-        return out
-
-    def and_(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if a == 1:
-            return b
-        if b == 1:
-            return a
-        if a == b:
-            return a
-        if self._inv.get(a) == b:
-            return 0
-        return self._gate2(OP_AND, a, b)
-
-    def or_(self, a: int, b: int) -> int:
-        if a == 1 or b == 1:
-            return 1
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        if a == b:
-            return a
-        if self._inv.get(a) == b:
-            return 1
-        return self._gate2(OP_OR, a, b)
-
-    def xor_(self, a: int, b: int) -> int:
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        if a == 1:
-            return self.not_(b)
-        if b == 1:
-            return self.not_(a)
-        if a == b:
-            return 0
-        if self._inv.get(a) == b:
-            return 1
-        return self._gate2(OP_XOR, a, b)
-
-    def mux_(self, a: int, b: int, sel: int) -> int:
-        if sel == 0:
-            return a
-        if sel == 1:
-            return b
-        if a == b:
-            return a
-        if a == 0:
-            return self.and_(b, sel)
-        if a == 1:
-            return self.or_(b, self.not_(sel))
-        if b == 0:
-            return self.and_(a, self.not_(sel))
-        if b == 1:
-            return self.or_(a, sel)
-        if b == sel:  # sel ? sel : a  ==  a | sel
-            return self.or_(a, sel)
-        if a == sel:  # sel ? b : sel  ==  b & sel
-            return self.and_(b, sel)
-        key = OP_MUX | (a << 4) | (b << 34) | (sel << 64)
-        hit = self._cse.get(key)
-        if hit is not None:
-            return hit
-        out = self.row(OP_MUX, a, b, sel)
-        self._cse[key] = out
-        return out
-
     # -- block emitters -------------------------------------------------
     def ripple_add(self, a: list[int], b: list[int],
                    cin: int) -> list[int]:
         """Width-preserving ripple-carry sum; returns the sum node ids.
 
         Per bit, in the builder's call order: propagate, sum, generate,
-        propagate&carry, carry-out.  The whole carry chain lands in one
-        inlined loop over the flat row arrays — the scalar helpers'
-        fold rules with direct appends; helper fallback only for the
-        rare constant-one operand (bias bits).
+        propagate&carry, carry-out.
         """
         if len(a) != len(b):
             raise ValueError("operand widths differ")
-        ops, ina, inb, inc = self.ops, self.ina, self.inb, self.inc
-        ops_append, ina_append = ops.append, ina.append
-        inb_append, inc_append = inb.append, inc.append
-        levels, lvl = self.levels, self._node_level
-        levels_append, lvl_append = levels.append, lvl.append
-        inv_get = self._inv.get
-        cse = self._cse
-        cse_get = cse.get
-        node = self.n_fixed + len(ops)
+        xor_, and_, or_ = self.xor_, self.and_, self.or_
         carry = cin
         out = []
-        out_append = out.append
         for ai, bi in zip(a, b):
-            # propagate = xor(ai, bi)
-            if ai == 0:
-                p = bi
-            elif bi == 0:
-                p = ai
-            elif ai == 1 or bi == 1:
-                p = self.xor_(ai, bi)
-                node = self.n_fixed + len(ops)
-            elif ai == bi:
-                p = 0
-            elif inv_get(ai) == bi:
-                p = 1
-            else:
-                key = (OP_XOR | (bi << 4) | (ai << 34)) if ai > bi \
-                    else (OP_XOR | (ai << 4) | (bi << 34))
-                p = cse_get(key)
-                if p is None:
-                    p = node
-                    node += 1
-                    ops_append(OP_XOR)
-                    ina_append(ai)
-                    inb_append(bi)
-                    inc_append(0)
-                    la, lb = lvl[ai], lvl[bi]
-                    level = (la if la > lb else lb) + 1
-                    levels_append(level)
-                    lvl_append(level)
-                    cse[key] = p
-            # sum = xor(propagate, carry)
-            if p == 0:
-                s = carry
-            elif carry == 0:
-                s = p
-            elif p == 1 or carry == 1:
-                s = self.xor_(p, carry)
-                node = self.n_fixed + len(ops)
-            elif p == carry:
-                s = 0
-            elif inv_get(p) == carry:
-                s = 1
-            else:
-                key = (OP_XOR | (carry << 4) | (p << 34)) if p > carry \
-                    else (OP_XOR | (p << 4) | (carry << 34))
-                s = cse_get(key)
-                if s is None:
-                    s = node
-                    node += 1
-                    ops_append(OP_XOR)
-                    ina_append(p)
-                    inb_append(carry)
-                    inc_append(0)
-                    la, lb = lvl[p], lvl[carry]
-                    level = (la if la > lb else lb) + 1
-                    levels_append(level)
-                    lvl_append(level)
-                    cse[key] = s
-            out_append(s)
-            # generate = and(ai, bi)
-            if ai == 0 or bi == 0:
-                g = 0
-            elif ai == 1:
-                g = bi
-            elif bi == 1:
-                g = ai
-            elif ai == bi:
-                g = ai
-            elif inv_get(ai) == bi:
-                g = 0
-            else:
-                key = (OP_AND | (bi << 4) | (ai << 34)) if ai > bi \
-                    else (OP_AND | (ai << 4) | (bi << 34))
-                g = cse_get(key)
-                if g is None:
-                    g = node
-                    node += 1
-                    ops_append(OP_AND)
-                    ina_append(ai)
-                    inb_append(bi)
-                    inc_append(0)
-                    la, lb = lvl[ai], lvl[bi]
-                    level = (la if la > lb else lb) + 1
-                    levels_append(level)
-                    lvl_append(level)
-                    cse[key] = g
-            # through = and(propagate, carry)
-            if p == 0 or carry == 0:
-                t = 0
-            elif p == 1:
-                t = carry
-            elif carry == 1:
-                t = p
-            elif p == carry:
-                t = p
-            elif inv_get(p) == carry:
-                t = 0
-            else:
-                key = (OP_AND | (carry << 4) | (p << 34)) if p > carry \
-                    else (OP_AND | (p << 4) | (carry << 34))
-                t = cse_get(key)
-                if t is None:
-                    t = node
-                    node += 1
-                    ops_append(OP_AND)
-                    ina_append(p)
-                    inb_append(carry)
-                    inc_append(0)
-                    la, lb = lvl[p], lvl[carry]
-                    level = (la if la > lb else lb) + 1
-                    levels_append(level)
-                    lvl_append(level)
-                    cse[key] = t
-            # carry-out = or(generate, through)
-            if g == 1 or t == 1:
-                carry = 1
-            elif g == 0:
-                carry = t
-            elif t == 0:
-                carry = g
-            elif g == t:
-                carry = g
-            elif inv_get(g) == t:
-                carry = 1
-            else:
-                key = (OP_OR | (t << 4) | (g << 34)) if g > t \
-                    else (OP_OR | (g << 4) | (t << 34))
-                carry = cse_get(key)
-                if carry is None:
-                    carry = node
-                    node += 1
-                    ops_append(OP_OR)
-                    ina_append(g)
-                    inb_append(t)
-                    inc_append(0)
-                    la, lb = lvl[g], lvl[t]
-                    level = (la if la > lb else lb) + 1
-                    levels_append(level)
-                    lvl_append(level)
-                    cse[key] = carry
+            p = xor_(ai, bi)
+            out.append(xor_(p, carry))
+            carry = or_(and_(ai, bi), and_(p, carry))
         return out
 
     # -- packaging ------------------------------------------------------
@@ -650,16 +381,15 @@ def _emit_inputs(em: ArrayEmitter, n_features: int,
 # ----------------------------------------------------------------------
 # Model-level emission (mirrors bespoke.py's generators)
 # ----------------------------------------------------------------------
-# Output bus names, duplicated from bespoke.py (importing them from
-# there would be circular once bespoke.py dispatches to this module).
-_CLASS_OUTPUT = "class_idx"
-_REGRESSOR_OUTPUT = "y_out"
-
-
 def emit_bespoke_arrays(model: QuantMLP | QuantSVM,
                         name: str = "bespoke") -> ArrayCircuit:
     """The unstripped (but already-folded) row form of a model's circuit."""
     em = ArrayEmitter(name)
+    _emit_model(em, model)
+    return em.finish()
+
+
+def _emit_model(em: ArrayEmitter, model: QuantMLP | QuantSVM) -> None:
     if isinstance(model, QuantMLP):
         _emit_mlp(em, model)
     elif isinstance(model, QuantSVM):
@@ -667,7 +397,6 @@ def emit_bespoke_arrays(model: QuantMLP | QuantSVM,
     else:
         raise TypeError(
             f"cannot build a bespoke circuit for {type(model).__name__}")
-    return em.finish()
 
 
 def _emit_mlp(em: ArrayEmitter, model: QuantMLP) -> None:
@@ -683,10 +412,10 @@ def _emit_mlp(em: ArrayEmitter, model: QuantMLP) -> None:
     em.watch = [list(s.nets) for s in sums]
     if model.kind == "classifier":
         em.meta["kind"] = "classifier"
-        em.set_output_bus(_CLASS_OUTPUT, _argmax(em, sums), signed=False)
+        em.set_output_bus(CLASS_OUTPUT, _argmax(em, sums), signed=False)
     else:
         em.meta["kind"] = "regressor"
-        em.set_output_bus(_REGRESSOR_OUTPUT, sums[0])
+        em.set_output_bus(REGRESSOR_OUTPUT, sums[0])
 
 
 def _emit_svm(em: ArrayEmitter, model: QuantSVM) -> None:
@@ -698,10 +427,10 @@ def _emit_svm(em: ArrayEmitter, model: QuantSVM) -> None:
     if model.kind == "classifier":
         em.meta["kind"] = "classifier"
         counts = _one_vs_one_votes(em, scores)
-        em.set_output_bus(_CLASS_OUTPUT, _argmax(em, counts), signed=False)
+        em.set_output_bus(CLASS_OUTPUT, _argmax(em, counts), signed=False)
     else:
         em.meta["kind"] = "regressor"
-        em.set_output_bus(_REGRESSOR_OUTPUT, scores[0])
+        em.set_output_bus(REGRESSOR_OUTPUT, scores[0])
 
 
 # ----------------------------------------------------------------------
@@ -719,13 +448,10 @@ def _service_telemetry():
 
 
 def _record_build(t0: float, emitted: int) -> None:
-    """``build.bespoke_ms{builder=array}`` + ``build.gates_emitted``."""
-    from time import perf_counter
-
+    """``build.bespoke_ms`` + ``build.gates_emitted``."""
     tel = _service_telemetry()
-    tel.observe("build.bespoke_ms", (perf_counter() - t0) * 1e3,
-                builder="array")
-    tel.counter("build.gates_emitted", emitted, builder="array")
+    tel.observe("build.bespoke_ms", (perf_counter() - t0) * 1e3)
+    tel.counter("build.gates_emitted", emitted)
 
 
 def build_bespoke_arrays(model: QuantMLP | QuantSVM,
@@ -733,23 +459,14 @@ def build_bespoke_arrays(model: QuantMLP | QuantSVM,
     """Emit + strip a model's bespoke circuit; returns the folded form.
 
     The returned :class:`ArrayCircuit` is directly evaluable by the
-    compiled engines and converts via ``to_netlist()`` into a netlist
-    gate-for-gate identical to ``build_bespoke_netlist(model)`` on the
-    per-gate path.
+    compiled engines; ``to_netlist()`` gives what
+    :func:`~repro.hw.bespoke.build_bespoke_netlist` returns.
     """
-    from time import perf_counter
-
     t0 = perf_counter()
-    with _service_telemetry().span("build.bespoke", builder="array",
+    with _service_telemetry().span("build.bespoke",
                                    kind=type(model).__name__):
         em = ArrayEmitter(name)
-        if isinstance(model, QuantMLP):
-            _emit_mlp(em, model)
-        elif isinstance(model, QuantSVM):
-            _emit_svm(em, model)
-        else:
-            raise TypeError(
-                f"cannot build a bespoke circuit for {type(model).__name__}")
+        _emit_model(em, model)
         emitted = len(em.ops)
         stripped = em.finish_synthesized()
     _record_build(t0, emitted)
@@ -758,9 +475,7 @@ def build_bespoke_arrays(model: QuantMLP | QuantSVM,
 
 def build_weighted_sum_arrays(coefficients, input_bits: int,
                               bias: int = 0) -> ArrayCircuit:
-    """Array-path twin of :func:`bespoke.build_weighted_sum_netlist`."""
-    from time import perf_counter
-
+    """A standalone weighted-sum circuit, emitted and stripped."""
     t0 = perf_counter()
     em = ArrayEmitter("weighted_sum")
     inputs = _emit_inputs(em, len(coefficients), input_bits)
@@ -773,15 +488,13 @@ def build_weighted_sum_arrays(coefficients, input_bits: int,
 
 def build_bespoke_multiplier_arrays(coefficient: int,
                                     input_bits: int) -> ArrayCircuit:
-    """Array-path twin of :func:`bespoke.build_bespoke_multiplier_netlist`.
+    """A standalone ``BM_w``, emitted and stripped.
 
     The hottest call site (the area library builds one per candidate
     coefficient per width) consumes the folded :class:`ArrayCircuit`
     directly — ``area_mm2`` reads the ``ops`` array — so no ``Netlist``
-    is materialized at all on the array path.
+    is materialized at all.
     """
-    from time import perf_counter
-
     t0 = perf_counter()
     em = ArrayEmitter(f"bm_{coefficient}_{input_bits}b")
     x = em.input_bus("x", input_bits)

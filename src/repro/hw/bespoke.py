@@ -20,18 +20,12 @@ The netlist ``meta`` carries what the pruning pass needs:
   error-significance statistic phi (Section III-C's classifier-aware
   definition).
 
-Every build function takes a ``builder`` selector:
-
-* ``"array"`` — emit through :mod:`repro.hw.array_builder`'s fused
-  array-level path (the cold-path default, 2-4x faster);
-* ``"gate"`` — the per-gate ``Value``/``Netlist`` builder, kept as the
-  gate-for-gate oracle;
-* ``"auto"`` — ``"array"`` when optimizing, ``"gate"`` for raw
-  (``optimize=False``) builds, whose unfolded form is inherently
-  per-gate.
-
-Both paths produce gate-for-gate identical netlists (the array-builder
-test suite pins this), so the selector is a pure performance knob.
+A synthesized build (the default) is emitted through
+:mod:`repro.hw.array_builder`, which applies the synthesis folding rules
+as it appends gate rows.  ``optimize=False`` returns the raw per-gate
+build through the :class:`~repro.hw.blocks.Value`/``Netlist`` builders;
+folded by :func:`~repro.hw.synthesis.synthesize_reference`, it is the
+independent oracle the array builds are pinned against gate-for-gate.
 """
 
 from __future__ import annotations
@@ -39,9 +33,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..quant.qmodel import QuantMLP, QuantSVM
+from .array_builder import (
+    CLASS_OUTPUT,
+    REGRESSOR_OUTPUT,
+    build_bespoke_arrays,
+    build_bespoke_multiplier_arrays,
+    build_weighted_sum_arrays,
+)
 from .blocks import Value, argmax, balanced_sum, bespoke_multiplier, one_vs_one_votes
 from .netlist import Netlist
-from .synthesis import synthesize
 
 __all__ = [
     "build_bespoke_netlist",
@@ -51,35 +51,6 @@ __all__ = [
     "CLASS_OUTPUT",
     "REGRESSOR_OUTPUT",
 ]
-
-CLASS_OUTPUT = "class_idx"
-REGRESSOR_OUTPUT = "y_out"
-
-
-def _resolve_builder(builder: str, optimize: bool) -> str:
-    """``auto`` -> ``array`` for optimized builds, ``gate`` for raw ones."""
-    if builder not in ("auto", "array", "gate"):
-        raise ValueError(f"unknown builder {builder!r} "
-                         "(expected 'auto', 'array' or 'gate')")
-    if not optimize:
-        if builder == "array":
-            raise ValueError("builder='array' requires optimize=True: "
-                             "the raw builder IR is inherently per-gate")
-        return "gate"
-    return "array" if builder == "auto" else builder
-
-
-_telemetry = None
-
-
-def _service_telemetry():
-    # Deferred so hw never imports service at module load (the service
-    # layer imports hw; see compiled.py for the same pattern).
-    global _telemetry
-    if _telemetry is None:
-        from ..service import telemetry as resolved
-        _telemetry = resolved
-    return _telemetry
 
 
 def _input_values(nl: Netlist, n_features: int, input_bits: int) -> list[Value]:
@@ -99,34 +70,16 @@ def _weighted_sum(inputs: list[Value], coefficients, bias: int) -> Value:
 
 
 def build_bespoke_netlist(model: QuantMLP | QuantSVM, name: str = "bespoke",
-                          optimize: bool = True,
-                          builder: str = "auto") -> Netlist:
+                          optimize: bool = True) -> Netlist:
     """Generate (and by default synthesize) the fully-parallel circuit."""
-    from time import perf_counter
-
-    if _resolve_builder(builder, optimize) == "array":
-        from .array_builder import build_bespoke_arrays
-
-        return build_bespoke_arrays(model, name).to_netlist()
-    t0 = perf_counter()
-    with _service_telemetry().span("build.bespoke", builder="gate",
-                                   kind=type(model).__name__):
-        if isinstance(model, QuantMLP):
-            netlist = _build_mlp(model, name)
-        elif isinstance(model, QuantSVM):
-            netlist = _build_svm(model, name)
-        else:
-            raise TypeError(
-                f"cannot build a bespoke circuit for {type(model).__name__}")
-        built = len(netlist.gate_type)
-        if optimize:
-            netlist = synthesize(netlist)
     if optimize:
-        tel = _service_telemetry()
-        tel.observe("build.bespoke_ms", (perf_counter() - t0) * 1e3,
-                    builder="gate")
-        tel.counter("build.gates_emitted", built, builder="gate")
-    return netlist
+        return build_bespoke_arrays(model, name).to_netlist()
+    if isinstance(model, QuantMLP):
+        return _build_mlp(model, name)
+    if isinstance(model, QuantSVM):
+        return _build_svm(model, name)
+    raise TypeError(
+        f"cannot build a bespoke circuit for {type(model).__name__}")
 
 
 def _build_mlp(model: QuantMLP, name: str) -> Netlist:
@@ -170,35 +123,29 @@ def _build_svm(model: QuantSVM, name: str) -> Netlist:
 
 
 def build_weighted_sum_netlist(coefficients, input_bits: int, bias: int = 0,
-                               optimize: bool = True,
-                               builder: str = "auto") -> Netlist:
+                               optimize: bool = True) -> Netlist:
     """A standalone weighted-sum circuit (used by the area-proxy study)."""
-    if _resolve_builder(builder, optimize) == "array":
-        from .array_builder import build_weighted_sum_arrays
-
+    if optimize:
         return build_weighted_sum_arrays(coefficients, input_bits,
                                          bias).to_netlist()
     nl = Netlist(name="weighted_sum")
     inputs = _input_values(nl, len(coefficients), input_bits)
     total = _weighted_sum(inputs, coefficients, bias)
     nl.set_output_bus("sum", total.nets, signed=total.signed)
-    return synthesize(nl) if optimize else nl
+    return nl
 
 
 def build_bespoke_multiplier_netlist(coefficient: int, input_bits: int,
-                                     optimize: bool = True,
-                                     builder: str = "auto") -> Netlist:
-    """A standalone ``BM_w`` (used to populate the area library)."""
-    if _resolve_builder(builder, optimize) == "array":
-        from .array_builder import build_bespoke_multiplier_arrays
-
+                                     optimize: bool = True) -> Netlist:
+    """A standalone ``BM_w`` (the area library uses its array form)."""
+    if optimize:
         return build_bespoke_multiplier_arrays(coefficient,
                                                input_bits).to_netlist()
     nl = Netlist(name=f"bm_{coefficient}_{input_bits}b")
     x = Value.input_bus(nl, "x", input_bits)
     product = bespoke_multiplier(x, coefficient)
     nl.set_output_bus("p", product.nets, signed=product.signed)
-    return synthesize(nl) if optimize else nl
+    return nl
 
 
 def input_payload(X_quant: np.ndarray) -> dict[str, np.ndarray]:

@@ -1054,7 +1054,8 @@ class IncrementalCircuit:
         at or past that index are helper gates the rewrites created —
         absent from the shared plan, replayed per-variant by the batch
         evaluator (in level order, so operands always precede their
-        consumers).
+        consumers).  A clamp on such a helper node has no plan slot and
+        raises ``ValueError``: that variant needs a fresh plan.
 
         Alias elision: under candidate protection (the relaxed walk),
         live ``BUF`` gates are exactly the aliases :meth:`_to_buf`
@@ -1069,6 +1070,13 @@ class IncrementalCircuit:
         from .compiled import VariantSpec
 
         n_fixed = self.n_fixed
+        plan_nets = n_fixed + n_parent_slots
+        for node in ties:
+            if node >= plan_nets:
+                raise ValueError(
+                    f"clamp on helper node {node}: the parent plan has "
+                    f"only {plan_nets} nets, so this variant needs a "
+                    "fresh plan")
         ops_np = self._ops_array()
         alive = np.frombuffer(bytes(self.alive), dtype=np.uint8)
         live = np.flatnonzero(alive)

@@ -13,9 +13,11 @@ the rebuild, exactly like replacing the gate with a tie cell.
 Two implementations share the folding rules:
 
 * the **compiled array engine** (the default behind :func:`synthesize`):
-  each pass is one linear sweep over flat opcode/operand arrays with an
-  inline rule dispatcher — no intermediate :class:`Netlist` objects, no
-  per-gate method dispatch.  Synthesis sits on the design-space-
+  each pass is one linear sweep over flat opcode/operand arrays that
+  replays the rows through :class:`FoldEmitter`'s scalar rules — no
+  intermediate :class:`Netlist` objects.  The bespoke array builder
+  emits through the same rules, so they are stated once on the array
+  side.  Synthesis sits on the design-space-
   exploration hot path (hundreds of resynthesized prune variants per
   circuit), which is why it is compiled alongside the word-parallel
   simulation engine.
@@ -48,7 +50,6 @@ from .compiled import (
     OP_NAND,
     OP_NOR,
     OP_OR,
-    OP_XNOR,
     OP_XOR,
     OPCODES,
 )
@@ -56,6 +57,7 @@ from .netlist import CONST0, CONST1, Netlist
 
 __all__ = [
     "ArrayCircuit",
+    "FoldEmitter",
     "synthesize",
     "synthesize_arrays",
     "synthesize_with_map",
@@ -394,87 +396,87 @@ class ArrayCircuit:
         return out
 
 
-def _fold_arrays(circ: ArrayCircuit,
-                 force_by_node: dict[int, int] | None
-                 ) -> tuple[ArrayCircuit, list[int], bool]:
-    """One folding pass over the arrays; returns (circuit, map, changed).
+class FoldEmitter:
+    """Appends gate rows through the folding rules; node ids ``n_fixed + row``.
 
-    Implements exactly the :class:`Netlist` builder rules — constant
-    propagation, operand deduplication, complement detection, double-
-    inversion removal, MUX strength reduction, structural hashing — with
-    inline dispatch over flat lists.  ``changed`` is False when the pass
-    was the identity transform (every gate re-created verbatim), which
-    lets the fixpoint driver stop without another confirmation pass.
+    The scalar emitters (:meth:`not_`, :meth:`and_`, ..., :meth:`mux_`)
+    are the one array-side statement of the :class:`Netlist` builder
+    rules — constant propagation, operand deduplication, complement
+    detection, double-inversion removal, MUX strength reduction and
+    structural hashing — branch order included.  A folding pass
+    (:func:`_fold_arrays`) replays a circuit's rows through them, and the
+    bespoke array builder (:mod:`repro.hw.array_builder`) emits through
+    them directly, so both land on the same fixpoint by construction.
     """
-    n_fixed = circ.n_fixed
-    node_map: list[int] = list(range(n_fixed))
-    ops, ina, inb, inc = circ.ops, circ.ina, circ.inb, circ.inc
-    new_ops: list[int] = []
-    new_a: list[int] = []
-    new_b: list[int] = []
-    new_c: list[int] = []
-    new_levels: list[int] = []
-    append_op = new_ops.append
-    append_a = new_a.append
-    append_b = new_b.append
-    append_c = new_c.append
-    append_level = new_levels.append
-    # Topological depth per node (fixed nodes at 0), carried through so
-    # the simulation plan never has to re-derive it.
-    node_level: list[int] = [0] * n_fixed
-    append_node_level = node_level.append
-    # inv_of[x] is the known inverse of node x (or -1): it serves both
-    # double-inversion removal and complement detection, because INV
-    # gates are only ever created here, symmetrically registered.
-    inv_of: list[int] = [-1] * n_fixed
-    append_inv = inv_of.append
-    # Structural-hashing keys pack (operands, op) into one integer —
-    # int hashing is measurably cheaper than tuple hashing on this,
-    # the hottest dict of the whole exploration.
-    cse: dict[int, int] = {}
-    cse_get = cse.get
-    changed = False
 
-    def not_(x: int) -> int:
-        if x < 2:
-            return 1 - x
-        inv = inv_of[x]
-        if inv >= 0:
-            return inv
-        out = n_fixed + len(new_ops)
-        append_op(OP_INV)
-        append_a(x)
-        append_b(0)
-        append_c(0)
-        level = node_level[x] + 1
-        append_level(level)
-        append_node_level(level)
-        append_inv(x)
-        inv_of[x] = out
-        return out
+    __slots__ = ("n_fixed", "ops", "ina", "inb", "inc", "levels", "_inv",
+                 "_cse", "_node_level")
 
-    def gate2(op: int, a: int, b: int) -> int:
+    def __init__(self, n_fixed: int = 2) -> None:
+        self.n_fixed = n_fixed  # nodes 0/1 are the constant ties
+        self.ops: list[int] = []
+        self.ina: list[int] = []
+        self.inb: list[int] = []
+        self.inc: list[int] = []
+        self.levels: list[int] = []
+        # Known inverses, registered both ways: INV rows only ever come
+        # from not_, so one table serves double-inversion removal and
+        # complement detection.
+        self._inv: dict[int, int] = {}
+        # Structural hashing packs (operands, op) into one integer — int
+        # hashing is measurably cheaper than tuple hashing on this, the
+        # hottest dict of the whole exploration.
+        self._cse: dict[int, int] = {}
+        # Topological depth per node id (constants and inputs at 0),
+        # carried so the simulation plan never re-levelizes the circuit.
+        self._node_level: list[int] = [0] * n_fixed
+
+    def row(self, op: int, a: int, b: int = 0, c: int = 0) -> int:
+        """Append one gate row unconditionally; returns its node id.
+
+        Callers are responsible for structural-hash registration; the
+        unused operand slots default to node 0 (level 0), so the level
+        computation is uniform across arities.
+        """
+        lvl = self._node_level
+        la, lb, lc = lvl[a], lvl[b], lvl[c]
+        level = (la if la > lb else lb)
+        level = (level if level > lc else lc) + 1
+        node = self.n_fixed + len(self.ops)
+        self.ops.append(op)
+        self.ina.append(a)
+        self.inb.append(b)
+        self.inc.append(c)
+        self.levels.append(level)
+        lvl.append(level)
+        return node
+
+    def _gate2(self, op: int, a: int, b: int) -> int:
         # Commutative cells hash with sorted operands but keep the
         # builder-given operand order, matching Netlist.add_gate.
         key = (op | (b << 4) | (a << 34)) if a > b \
             else (op | (a << 4) | (b << 34))
-        hit = cse_get(key)
+        hit = self._cse.get(key)
         if hit is not None:
             return hit
-        out = n_fixed + len(new_ops)
-        append_op(op)
-        append_a(a)
-        append_b(b)
-        append_c(0)
-        la, lb = node_level[a], node_level[b]
-        level = (la if la > lb else lb) + 1
-        append_level(level)
-        append_node_level(level)
-        append_inv(-1)
-        cse[key] = out
+        out = self.row(op, a, b)
+        self._cse[key] = out
         return out
 
-    def and_(a: int, b: int) -> int:
+    def not_(self, x: int) -> int:
+        if x < 2:
+            return 1 - x
+        inv = self._inv.get(x)
+        if inv is None:
+            inv = self.row(OP_INV, x)
+            self._inv[x] = inv
+            self._inv[inv] = x
+        return inv
+
+    def buf_(self, x: int) -> int:
+        return x
+
+    def and_(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         if a == 1:
@@ -483,11 +485,11 @@ def _fold_arrays(circ: ArrayCircuit,
             return a
         if a == b:
             return a
-        if inv_of[a] == b:
+        if self._inv.get(a) == b:
             return 0
-        return gate2(OP_AND, a, b)
+        return self._gate2(OP_AND, a, b)
 
-    def or_(a: int, b: int) -> int:
+    def or_(self, a: int, b: int) -> int:
         if a == 1 or b == 1:
             return 1
         if a == 0:
@@ -496,11 +498,71 @@ def _fold_arrays(circ: ArrayCircuit,
             return a
         if a == b:
             return a
-        if inv_of[a] == b:
+        if self._inv.get(a) == b:
             return 1
-        return gate2(OP_OR, a, b)
+        return self._gate2(OP_OR, a, b)
 
-    def mux_(a: int, b: int, sel: int) -> int:
+    def xor_(self, a: int, b: int) -> int:
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        if a == 1:
+            return self.not_(b)
+        if b == 1:
+            return self.not_(a)
+        if a == b:
+            return 0
+        if self._inv.get(a) == b:
+            return 1
+        return self._gate2(OP_XOR, a, b)
+
+    def nand_(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 1
+        if a == 1:
+            return self.not_(b)
+        if b == 1:
+            return self.not_(a)
+        if a == b:
+            return self.not_(a)
+        if self._inv.get(a) == b:
+            return 1
+        return self._gate2(OP_NAND, a, b)
+
+    def nor_(self, a: int, b: int) -> int:
+        if a == 1 or b == 1:
+            return 0
+        if a == 0:
+            return self.not_(b)
+        if b == 0:
+            return self.not_(a)
+        if a == b:
+            return self.not_(a)
+        if self._inv.get(a) == b:
+            return 0
+        return self._gate2(OP_NOR, a, b)
+
+    def xnor_(self, a: int, b: int) -> int:
+        if a == 0:
+            return self.not_(b)
+        if b == 0:
+            return self.not_(a)
+        if a == 1:
+            # Mirror the reference xnor_ = not_(xor_(a, b)) exactly: the
+            # inner xor_ materializes not_(b) before the outer not_
+            # cancels it, so the INV gate must be instantiated here too
+            # to keep gate-for-gate equivalence.
+            return self.not_(self.not_(b))
+        if b == 1:
+            return self.not_(self.not_(a))
+        if a == b:
+            return 1
+        if self._inv.get(a) == b:
+            return 0
+        return self.not_(self._gate2(OP_XOR, a, b))
+
+    def mux_(self, a: int, b: int, sel: int) -> int:
         if sel == 0:
             return a
         if sel == 1:
@@ -508,35 +570,42 @@ def _fold_arrays(circ: ArrayCircuit,
         if a == b:
             return a
         if a == 0:
-            return and_(b, sel)
+            return self.and_(b, sel)
         if a == 1:
-            return or_(b, not_(sel))
+            return self.or_(b, self.not_(sel))
         if b == 0:
-            return and_(a, not_(sel))
+            return self.and_(a, self.not_(sel))
         if b == 1:
-            return or_(a, sel)
+            return self.or_(a, sel)
         if b == sel:  # sel ? sel : a  ==  a | sel
-            return or_(a, sel)
+            return self.or_(a, sel)
         if a == sel:  # sel ? b : sel  ==  b & sel
-            return and_(b, sel)
+            return self.and_(b, sel)
         key = OP_MUX | (a << 4) | (b << 34) | (sel << 64)
-        hit = cse_get(key)
+        hit = self._cse.get(key)
         if hit is not None:
             return hit
-        out = n_fixed + len(new_ops)
-        append_op(OP_MUX)
-        append_a(a)
-        append_b(b)
-        append_c(sel)
-        la, lb, lc = node_level[a], node_level[b], node_level[sel]
-        level = (la if la > lb else lb)
-        level = (level if level > lc else lc) + 1
-        append_level(level)
-        append_node_level(level)
-        append_inv(-1)
-        cse[key] = out
+        out = self.row(OP_MUX, a, b, sel)
+        self._cse[key] = out
         return out
 
+
+def _fold_arrays(circ: ArrayCircuit,
+                 force_by_node: dict[int, int] | None
+                 ) -> tuple[ArrayCircuit, list[int], bool]:
+    """One folding pass over the arrays; returns (circuit, map, changed).
+
+    The pass replays every row, in order, through a :class:`FoldEmitter`
+    seeded with the circuit's interface; forced nodes become constant
+    ties instead.  ``changed`` is False when the pass was the identity
+    transform (every gate re-created verbatim), which lets the fixpoint
+    driver stop without another confirmation pass.
+    """
+    n_fixed = circ.n_fixed
+    em = FoldEmitter(n_fixed)
+    node_map: list[int] = list(range(n_fixed))
+    append_map = node_map.append
+    changed = False
     forced_get = force_by_node.get if force_by_node else None
     if force_by_node:
         for node, value in force_by_node.items():
@@ -544,97 +613,35 @@ def _fold_arrays(circ: ArrayCircuit,
                 node_map[node] = 1 if value else 0
                 changed = True
 
+    # Indexed by opcode: OP_INV, OP_BUF take one operand, OP_MUX three.
+    rules = (em.not_, em.buf_, em.and_, em.or_, em.xor_, em.xnor_,
+             em.nand_, em.nor_, em.mux_)
+    mux_ = em.mux_
+    ops, ina, inb, inc = circ.ops, circ.ina, circ.inb, circ.inc
     for k in range(len(ops)):
         node = n_fixed + k
         if forced_get is not None:
             forced = forced_get(node)
             if forced is not None:
-                node_map.append(1 if forced else 0)
+                append_map(1 if forced else 0)
                 changed = True
                 continue
         op = ops[k]
-        a = node_map[ina[k]]
-        if op == OP_AND:
-            result = and_(a, node_map[inb[k]])
-        elif op == OP_XOR:
-            b = node_map[inb[k]]
-            if a == 0:
-                result = b
-            elif b == 0:
-                result = a
-            elif a == 1:
-                result = not_(b)
-            elif b == 1:
-                result = not_(a)
-            elif a == b:
-                result = 0
-            elif inv_of[a] == b:
-                result = 1
+        if op > OP_BUF:
+            if op == OP_MUX:
+                result = mux_(node_map[ina[k]], node_map[inb[k]],
+                              node_map[inc[k]])
             else:
-                result = gate2(OP_XOR, a, b)
-        elif op == OP_OR:
-            result = or_(a, node_map[inb[k]])
-        elif op == OP_INV:
-            result = not_(a)
-        elif op == OP_NAND:
-            b = node_map[inb[k]]
-            if a == 0 or b == 0:
-                result = 1
-            elif a == 1:
-                result = not_(b)
-            elif b == 1:
-                result = not_(a)
-            elif a == b:
-                result = not_(a)
-            elif inv_of[a] == b:
-                result = 1
-            else:
-                result = gate2(OP_NAND, a, b)
-        elif op == OP_NOR:
-            b = node_map[inb[k]]
-            if a == 1 or b == 1:
-                result = 0
-            elif a == 0:
-                result = not_(b)
-            elif b == 0:
-                result = not_(a)
-            elif a == b:
-                result = not_(a)
-            elif inv_of[a] == b:
-                result = 0
-            else:
-                result = gate2(OP_NOR, a, b)
-        elif op == OP_XNOR:
-            b = node_map[inb[k]]
-            if a == 0:
-                result = not_(b)
-            elif b == 0:
-                result = not_(a)
-            elif a == 1:
-                # Mirror the reference xnor_ = not_(xor_(a, b)) exactly:
-                # the inner xor_ materializes not_(b) before the outer
-                # not_ cancels it, so the INV gate must be instantiated
-                # here too to keep gate-for-gate equivalence.
-                result = not_(not_(b))
-            elif b == 1:
-                result = not_(not_(a))
-            elif a == b:
-                result = 1
-            elif inv_of[a] == b:
-                result = 0
-            else:
-                result = not_(gate2(OP_XOR, a, b))
-        elif op == OP_MUX:
-            result = mux_(a, node_map[inb[k]], node_map[inc[k]])
-        else:  # OP_BUF
-            result = a
+                result = rules[op](node_map[ina[k]], node_map[inb[k]])
+        else:
+            result = rules[op](node_map[ina[k]])
         if result != node:
             changed = True
-        node_map.append(result)
+        append_map(result)
 
     out = circ._shell()
-    out.ops, out.ina, out.inb, out.inc = new_ops, new_a, new_b, new_c
-    out.levels = new_levels
+    out.ops, out.ina, out.inb, out.inc = em.ops, em.ina, em.inb, em.inc
+    out.levels = em.levels
     for name, nodes in circ.outputs.items():
         out.outputs[name] = [node_map[n] for n in nodes]
         out.signed[name] = circ.signed[name]

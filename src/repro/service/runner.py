@@ -179,14 +179,10 @@ class ExplorationService:
                  identity: str = "exact",
                  evaluator_cache: dict | None = None,
                  evaluator_fp_cache: dict | None = None,
-                 builder: str = "auto",
                  build_cache: dict | None = None) -> None:
         if identity not in _IDENTITIES:
             raise ValueError(f"unknown identity {identity!r}; "
                              f"use one of {_IDENTITIES}")
-        if builder not in ("auto", "array", "gate"):
-            raise ValueError(f"unknown builder {builder!r} "
-                             "(expected 'auto', 'array' or 'gate')")
         # Paths open a local SQLite store; anything else (a DesignStore,
         # or a store-shaped facade like coordinator.RemoteStore) passes
         # through duck-typed.
@@ -206,7 +202,6 @@ class ExplorationService:
             evaluator_cache if evaluator_cache is not None else {}
         self._evaluator_fps: dict[tuple, str] = \
             evaluator_fp_cache if evaluator_fp_cache is not None else {}
-        self.builder = builder
         # Content-keyed bespoke builds, shareable across tenant services
         # like the evaluator caches: a cold miss builds once per process
         # even when the tenants' stores differ.  None disables sharing
@@ -261,7 +256,7 @@ class ExplorationService:
                 library=default_library(), e=e)
             netlist, hit = build_coeff_netlist_cached(
                 approximator, model, self.store, name=name,
-                builder=self.builder, build_cache=self._build_cache)
+                build_cache=self._build_cache)
             grid_meta = {
                 "coeff_netlist_key": coeff_netlist_key(model, approximator),
                 "e": e,
@@ -283,16 +278,14 @@ class ExplorationService:
         as-is.
         """
         if self._build_cache is None:
-            return build_bespoke_netlist(model, name=name,
-                                         builder=self.builder), False
+            return build_bespoke_netlist(model, name=name), False
         key = ("exact-netlist", model_fingerprint(model))
         netlist = self._build_cache.get(key)
         if netlist is not None:
             _metric("build.cache", result="hit")
             return netlist, True
         _metric("build.cache", result="miss")
-        netlist = build_bespoke_netlist(model, name=name,
-                                        builder=self.builder)
+        netlist = build_bespoke_netlist(model, name=name)
         self._build_cache[key] = netlist
         return netlist, False
 

@@ -412,7 +412,6 @@ def coeff_netlist_key(model, approximator) -> str:
 def build_coeff_netlist_cached(approximator, model, store: "DesignStore",
                                name: str = "coeff",
                                approx_model=None,
-                               builder: str = "auto",
                                build_cache: dict | None = None) -> tuple:
     """The coefficient-approximated netlist, through the store.
 
@@ -421,8 +420,8 @@ def build_coeff_netlist_cached(approximator, model, store: "DesignStore",
     build's exact gate list and net numbering, so fingerprints and
     evaluations of the rebuilt netlist are bit-identical — pinned by
     the service tests) and skips the bespoke build+synthesis entirely;
-    a miss builds (through ``builder``; see
-    :func:`~repro.hw.bespoke.build_bespoke_netlist`) and persists it.
+    a miss builds (:func:`~repro.hw.bespoke.build_bespoke_netlist`) and
+    persists it.
     ``approx_model`` short-circuits the (cached) approximation step when
     the caller already holds it; the netlist's cosmetic ``name`` is
     always the caller's.
@@ -456,7 +455,7 @@ def build_coeff_netlist_cached(approximator, model, store: "DesignStore",
     if approx_model is None:
         approx_model, _reports = approximate_model_cached(
             approximator, model, store)
-    netlist = build_bespoke_netlist(approx_model, name=name, builder=builder)
+    netlist = build_bespoke_netlist(approx_model, name=name)
     payload = netlist_to_dict(netlist)
     payload["name"] = "coeff"  # cosmetic; keep stored payloads canonical
     fingerprint = netlist_fingerprint(netlist)

@@ -1,13 +1,14 @@
-"""Array-level bespoke builder: gate-for-gate equivalence with the oracle.
+"""Array-level bespoke builder: gate-for-gate identity with the oracle.
 
-The per-gate :class:`~repro.hw.netlist.Netlist` builder is the pinned
-oracle for the array emitter, the way ``synthesize_reference`` pins
-``synthesize``.  The contract under test is *identity*, not mere
-functional equivalence: for every model and every standalone block, the
-array path must produce a netlist whose gate arrays, buses, and metadata
-are equal element-for-element to the per-gate path's — which is what
-makes ``builder="array"`` safe to flip on under content-addressed
-stores (same bytes, same keys).
+The shipped build (:mod:`repro.hw.array_builder`, behind
+``build_bespoke_netlist`` and friends) is pinned against an oracle that
+shares no code with it: the raw per-gate build
+(``optimize=False``, through the :class:`~repro.hw.netlist.Netlist`
+folding builders) synthesized by ``synthesize_reference``, the
+builder-replay synthesis.  The contract under test is *identity*, not
+mere functional equivalence: gate arrays, buses, and metadata must be
+equal element-for-element — which is what keeps content-addressed
+stores stable (same bytes, same keys).
 
 Layers covered, bottom up:
 
@@ -20,8 +21,9 @@ Layers covered, bottom up:
 * behavioral simulation against NumPy arithmetic on a non-word-aligned
   vector count;
 * zoo models, the framework (``explore``/``sweep_e``), and the service
-  (fresh stores, shared in-process build cache);
-* the builder telemetry: counters/histograms fire, spans stay inert
+  (fresh stores, shared in-process build cache), each against the same
+  run with every bespoke build swapped for the oracle;
+* the build telemetry: counters/histograms fire, spans stay inert
   (PR 8's byte-identity contract), and ``fig2`` re-runs trigger zero
   new multiplier builds through the shared library.
 """
@@ -35,10 +37,13 @@ import random
 import numpy as np
 import pytest
 
+from repro.core import cross_layer
 from repro.core.cross_layer import CrossLayerFramework
 from repro.core.multiplier_area import BespokeMultiplierLibrary
 from repro.experiments import fig2
 from repro.experiments.zoo import get_case
+from repro.hw import bespoke
+from repro.hw.area import area_mm2
 from repro.hw.array_builder import (
     ArrayEmitter,
     bespoke_multiplier_rows,
@@ -55,8 +60,8 @@ from repro.hw.bespoke import (
 from repro.hw.blocks import Value, bespoke_multiplier
 from repro.hw.netlist import Netlist
 from repro.hw.simulate import simulate
-from repro.hw.synthesis import _fold_arrays, synthesize
-from repro.service import telemetry
+from repro.hw.synthesis import ArrayCircuit, _fold_arrays, synthesize_reference
+from repro.service import runner, telemetry
 from repro.service.runner import ExplorationService, ExploreRequest
 
 TIER1_CASES = (("redwine", "svm_r"), ("redwine", "mlp_c"),
@@ -75,6 +80,25 @@ def assert_netlists_identical(actual: Netlist, oracle: Netlist) -> None:
     assert actual.meta == oracle.meta
 
 
+def oracle_netlist(model, name: str = "bespoke") -> Netlist:
+    """The raw per-gate build, synthesized by the builder replay."""
+    return synthesize_reference(
+        build_bespoke_netlist(model, name=name, optimize=False))
+
+
+def route_builds_through_oracle(patch) -> None:
+    """Swap every framework/service bespoke build for the oracle."""
+    def oracle(model, name="bespoke"):
+        return oracle_netlist(model, name)
+
+    patch.setattr(bespoke, "build_bespoke_netlist", oracle)
+    patch.setattr(cross_layer, "build_bespoke_netlist", oracle)
+    patch.setattr(runner, "build_bespoke_netlist", oracle)
+    patch.setattr(cross_layer, "build_bespoke_arrays",
+                  lambda model, name="bespoke":
+                  ArrayCircuit.from_netlist(oracle(model, name))[0])
+
+
 @pytest.fixture()
 def fresh_telemetry():
     telemetry.reset()
@@ -88,19 +112,22 @@ def fresh_telemetry():
 class TestMultiplierOracle:
     @pytest.mark.parametrize("input_bits", (4, 8))
     def test_full_signed_coefficient_range(self, input_bits):
-        """Every signed 8-bit coefficient, both paths, identical gates."""
+        """Every signed 8-bit coefficient: identical gates to the oracle."""
         for coefficient in range(-128, 128):
-            array = build_bespoke_multiplier_netlist(
-                coefficient, input_bits, builder="array")
-            gate = build_bespoke_multiplier_netlist(
-                coefficient, input_bits, builder="gate")
-            assert_netlists_identical(array, gate)
+            raw = build_bespoke_multiplier_netlist(coefficient, input_bits,
+                                                   optimize=False)
+            assert_netlists_identical(
+                build_bespoke_multiplier_netlist(coefficient, input_bits),
+                synthesize_reference(raw))
 
     def test_library_areas_identical(self):
-        """Array-backed and gate-backed libraries agree exactly."""
-        array_lib = BespokeMultiplierLibrary(coeff_bits=6, builder="array")
-        gate_lib = BespokeMultiplierLibrary(coeff_bits=6, builder="gate")
-        assert array_lib.area_table(4) == gate_lib.area_table(4)
+        """The array-backed area library agrees exactly with the oracle."""
+        library = BespokeMultiplierLibrary(coeff_bits=6)
+        oracle = {w: area_mm2(synthesize_reference(
+                      build_bespoke_multiplier_netlist(w, 4,
+                                                       optimize=False)))
+                  for w in range(-32, 32)}
+        assert library.area_table(4) == oracle
 
     def test_binary_recoding_matches_value_oracle(self):
         """The ablation recoding mirrors blocks.bespoke_multiplier too."""
@@ -117,7 +144,7 @@ class TestMultiplierOracle:
             product = bespoke_multiplier(value, coefficient,
                                          recoding="binary")
             nl.set_output_bus("p", product.nets, signed=product.signed)
-            assert_netlists_identical(array, synthesize(nl))
+            assert_netlists_identical(array, synthesize_reference(nl))
 
     def test_unknown_recoding_rejected(self):
         em = ArrayEmitter("bm")
@@ -129,6 +156,15 @@ class TestMultiplierOracle:
 # ----------------------------------------------------------------------
 # Weighted sums
 # ----------------------------------------------------------------------
+def assert_weighted_sum_matches_oracle(coefficients, input_bits: int,
+                                       bias: int) -> None:
+    raw = build_weighted_sum_netlist(coefficients, input_bits, bias=bias,
+                                     optimize=False)
+    assert_netlists_identical(
+        build_weighted_sum_netlist(coefficients, input_bits, bias=bias),
+        synthesize_reference(raw))
+
+
 class TestWeightedSumOracle:
     @pytest.mark.parametrize("coefficients,bias", [
         ((0, 0, 0), 0),          # all-zero: the circuit is a constant
@@ -139,11 +175,7 @@ class TestWeightedSumOracle:
         ((127, -128), 17),       # extremes of the signed byte
     ])
     def test_degenerate_coefficients(self, coefficients, bias):
-        array = build_weighted_sum_netlist(coefficients, 4, bias=bias,
-                                           builder="array")
-        gate = build_weighted_sum_netlist(coefficients, 4, bias=bias,
-                                          builder="gate")
-        assert_netlists_identical(array, gate)
+        assert_weighted_sum_matches_oracle(coefficients, 4, bias)
 
     def test_random_property_cases(self):
         """Random widths/coefficients/biases: 40 seeded cases."""
@@ -153,19 +185,15 @@ class TestWeightedSumOracle:
             input_bits = rng.randint(1, 10)
             coefficients = tuple(rng.randint(-128, 127) for _ in range(n))
             bias = rng.randint(-512, 512)
-            array = build_weighted_sum_netlist(
-                coefficients, input_bits, bias=bias, builder="array")
-            gate = build_weighted_sum_netlist(
-                coefficients, input_bits, bias=bias, builder="gate")
-            assert_netlists_identical(array, gate)
+            assert_weighted_sum_matches_oracle(coefficients, input_bits,
+                                               bias)
 
     def test_behavioral_against_numpy(self):
         """70 vectors (not a multiple of 64) against the dot product."""
         rng = np.random.default_rng(7)
         coefficients = (11, -23, 0, 5, -1)
         bias = -9
-        netlist = build_weighted_sum_netlist(coefficients, 4, bias=bias,
-                                             builder="array")
+        netlist = build_weighted_sum_netlist(coefficients, 4, bias=bias)
         X = rng.integers(0, 16, size=(70, len(coefficients)))
         result = simulate(netlist, {f"x{i}": X[:, i]
                                     for i in range(X.shape[1])})
@@ -179,9 +207,10 @@ class TestWeightedSumOracle:
 class TestFoldIsIdentity:
     """Emitted rows are already at the fold fixpoint.
 
-    The emitter applies ``_fold_arrays``'s rules at emission, so a
-    folding pass over its output must be the identity transform — the
-    strongest machine-checkable form of the module's rule-mirror claim.
+    The emitter and ``_fold_arrays`` apply the same ``FoldEmitter``
+    rules, so a folding pass over emitted rows must be the identity
+    transform: folding as the rows stream past and folding them
+    afterwards land on the same fixpoint.
     """
 
     def _assert_fixpoint(self, circ):
@@ -208,50 +237,44 @@ class TestFoldIsIdentity:
 
 
 # ----------------------------------------------------------------------
-# Models and the builder selector
+# Models
 # ----------------------------------------------------------------------
 class TestModelIdentity:
     @pytest.mark.parametrize("dataset,kind", TIER1_CASES)
     def test_zoo_models_identical(self, dataset, kind):
         case = get_case(dataset, kind)
-        array = build_bespoke_netlist(case.quant_model, name="m",
-                                      builder="array")
-        gate = build_bespoke_netlist(case.quant_model, name="m",
-                                     builder="gate")
-        assert_netlists_identical(array, gate)
+        assert_netlists_identical(
+            build_bespoke_netlist(case.quant_model, name="m"),
+            oracle_netlist(case.quant_model, name="m"))
 
     def test_array_circuit_matches_netlist_conversion(self):
         """build_bespoke_arrays is the netlist path minus to_netlist."""
         case = get_case("redwine", "svm_r")
         circ = build_bespoke_arrays(case.quant_model, name="m")
-        assert_netlists_identical(
-            circ.to_netlist(),
-            build_bespoke_netlist(case.quant_model, name="m",
-                                  builder="gate"))
+        assert_netlists_identical(circ.to_netlist(),
+                                  oracle_netlist(case.quant_model, name="m"))
+
 
 
 class TestBuilderSelector:
-    def test_unoptimized_array_build_rejected(self):
-        """The raw builder IR is inherently per-gate."""
-        case = get_case("redwine", "svm_r")
-        with pytest.raises(ValueError, match="requires optimize=True"):
-            build_bespoke_netlist(case.quant_model, optimize=False,
-                                  builder="array")
+    """The ``builder=`` selector is gone: there is one build path."""
 
     def test_unoptimized_build_defaults_to_gate(self):
+        """``optimize=False`` is the raw per-gate build, before any strip."""
         case = get_case("redwine", "svm_r")
         raw = build_bespoke_netlist(case.quant_model, optimize=False)
         assert len(raw.gate_type) > len(
             build_bespoke_netlist(case.quant_model).gate_type)
 
     @pytest.mark.parametrize("construct", [
-        lambda: build_bespoke_netlist(None, builder="nope"),
-        lambda: BespokeMultiplierLibrary(builder="nope"),
-        lambda: CrossLayerFramework(builder="nope"),
-        lambda: ExplorationService(":memory:", builder="nope"),
+        lambda: build_bespoke_netlist(None, builder="gate"),
+        lambda: BespokeMultiplierLibrary(builder="gate"),
+        lambda: CrossLayerFramework(builder="gate"),
+        lambda: ExplorationService(":memory:", builder="gate"),
     ])
     def test_unknown_builder_rejected(self, construct):
-        with pytest.raises(ValueError, match="builder"):
+        """No entry point accepts a ``builder`` argument any more."""
+        with pytest.raises(TypeError, match="builder"):
             construct()
 
 
@@ -263,46 +286,51 @@ class TestFrameworkIdentity:
         case = get_case("redwine", "svm_r")
         return case.split, case.quant_model
 
-    def test_explore_designs_identical(self):
+    def _explore(self):
         split, quant = self._split_and_model()
-        results = {}
-        for builder in ("array", "gate"):
-            framework = CrossLayerFramework(e=3, tau_grid=(0.9, 0.95),
-                                            builder=builder)
-            result = framework.explore(quant, split.X_train, split.X_test,
-                                       split.y_test, name="rw",
-                                       include=("coeff", "prune"))
-            results[builder] = [dataclasses.astuple(p)
-                                for p in result.points]
-        assert results["array"] == results["gate"]
-        assert len(results["array"]) > 0
+        framework = CrossLayerFramework(e=3, tau_grid=(0.9, 0.95))
+        result = framework.explore(quant, split.X_train, split.X_test,
+                                   split.y_test, name="rw",
+                                   include=("coeff", "prune"))
+        return [dataclasses.astuple(p) for p in result.points]
 
-    def test_sweep_e_designs_identical(self):
+    def _sweep_e(self):
         split, quant = self._split_and_model()
-        sweeps = {}
-        for builder in ("array", "gate"):
-            framework = CrossLayerFramework(tau_grid=(0.95,),
-                                            builder=builder)
-            sweep = framework.sweep_e(quant, split.X_train, split.X_test,
-                                      split.y_test, e_values=(1, 2),
-                                      include=("coeff",))
-            sweeps[builder] = [dataclasses.astuple(p)
-                               for p in sweep.points]
-        assert sweeps["array"] == sweeps["gate"]
+        framework = CrossLayerFramework(tau_grid=(0.95,))
+        sweep = framework.sweep_e(quant, split.X_train, split.X_test,
+                                  split.y_test, e_values=(1, 2),
+                                  include=("coeff",))
+        return [dataclasses.astuple(p) for p in sweep.points]
+
+    def test_explore_designs_identical(self, monkeypatch):
+        shipped = self._explore()
+        with monkeypatch.context() as patch:
+            route_builds_through_oracle(patch)
+            oracle = self._explore()
+        assert shipped == oracle
+        assert len(shipped) > 0
+
+    def test_sweep_e_designs_identical(self, monkeypatch):
+        shipped = self._sweep_e()
+        with monkeypatch.context() as patch:
+            route_builds_through_oracle(patch)
+            oracle = self._sweep_e()
+        assert shipped == oracle
 
 
 class TestServiceIdentity:
     REQUEST = ExploreRequest(dataset="redwine", model="svm_r",
                              base="coeff", tau_grid=(0.9, 0.95), e=1)
 
-    def test_service_designs_identical(self, tmp_path):
-        designs = {}
-        for builder in ("array", "gate"):
-            service = ExplorationService(tmp_path / f"{builder}.sqlite",
-                                         builder=builder)
-            designs[builder], _report = service.explore(self.REQUEST)
-        assert designs["array"] == designs["gate"]
-        assert len(designs["array"]) > 0
+    def test_service_designs_identical(self, tmp_path, monkeypatch):
+        shipped, _report = ExplorationService(
+            tmp_path / "shipped.sqlite").explore(self.REQUEST)
+        with monkeypatch.context() as patch:
+            route_builds_through_oracle(patch)
+            oracle, _report = ExplorationService(
+                tmp_path / "oracle.sqlite").explore(self.REQUEST)
+        assert shipped == oracle
+        assert len(shipped) > 0
 
     def test_shared_build_cache_across_tenants(self, tmp_path,
                                                fresh_telemetry):
@@ -311,7 +339,6 @@ class TestServiceIdentity:
         designs = []
         for tenant in ("a", "b"):
             service = ExplorationService(tmp_path / f"{tenant}.sqlite",
-                                         builder="array",
                                          build_cache=build_cache)
             result, _report = service.explore(self.REQUEST)
             designs.append(result)
@@ -322,8 +349,7 @@ class TestServiceIdentity:
                                              result="hit") == 1
 
     def test_no_cache_means_no_metric(self, tmp_path, fresh_telemetry):
-        service = ExplorationService(tmp_path / "solo.sqlite",
-                                     builder="array")
+        service = ExplorationService(tmp_path / "solo.sqlite")
         service.explore(self.REQUEST)
         assert fresh_telemetry.counter_total("build.cache") == 0
 
@@ -334,27 +360,22 @@ class TestServiceIdentity:
 class TestBuilderTelemetry:
     def test_build_metrics_fire(self, fresh_telemetry):
         case = get_case("redwine", "svm_r")
-        build_bespoke_netlist(case.quant_model, builder="array")
-        build_bespoke_netlist(case.quant_model, builder="gate")
-        emitted_array = fresh_telemetry.counter_value(
-            "build.gates_emitted", builder="array")
-        emitted_gate = fresh_telemetry.counter_value(
-            "build.gates_emitted", builder="gate")
-        assert emitted_array > 0
+        build_bespoke_netlist(case.quant_model)
+        emitted = fresh_telemetry.counter_value("build.gates_emitted")
+        raw = build_bespoke_netlist(case.quant_model, optimize=False)
+        assert emitted > 0
         # The emitter folds at emission: it must never emit more rows
         # than the per-gate builder creates pre-synthesis.
-        assert emitted_array <= emitted_gate
+        assert emitted <= len(raw.gate_type)
         snapshot = fresh_telemetry.snapshot()
-        for builder in ("array", "gate"):
-            series = f"build.bespoke_ms{{builder={builder}}}"
-            assert snapshot["histograms"][series]["count"] == 1
+        assert snapshot["histograms"]["build.bespoke_ms"]["count"] == 1
 
     def test_spans_inert(self, fresh_telemetry):
         """Tracing on/off cannot change the emitted netlist (PR 8)."""
         case = get_case("redwine", "svm_r")
-        quiet = build_bespoke_netlist(case.quant_model, builder="array")
+        quiet = build_bespoke_netlist(case.quant_model)
         telemetry.configure(tracing=True, events_out=io.StringIO())
-        traced = build_bespoke_netlist(case.quant_model, builder="array")
+        traced = build_bespoke_netlist(case.quant_model)
         assert_netlists_identical(traced, quiet)
 
     def test_fig2_rerun_triggers_zero_builds(self, fresh_telemetry):
@@ -367,5 +388,4 @@ class TestBuilderTelemetry:
     def test_standalone_builders_count_gates(self, fresh_telemetry):
         build_bespoke_multiplier_arrays(45, 8)
         build_weighted_sum_arrays((3, -5), 4)
-        assert fresh_telemetry.counter_value("build.gates_emitted",
-                                             builder="array") > 0
+        assert fresh_telemetry.counter_value("build.gates_emitted") > 0

@@ -24,7 +24,7 @@ Three layers pin the batched path down:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import load_dataset
@@ -161,9 +161,15 @@ class TestBatchedEvaluatorEquivalence:
                 power_mw(ref, oracle.activity())
 
     @given(seed=st.integers(0, 10_000))
+    @example(seed=1078)  # tie 2 clamps a helper node tie 1 created
     @settings(max_examples=15, deadline=None)
     def test_accumulated_clamps_across_ties(self, seed):
-        """Two sequential ties described by one clamp set (plan epochs)."""
+        """Two sequential ties described by one clamp set (plan epochs).
+
+        Mirrors the batched walk's epoch rule: a tie that clamps a
+        helper node created since the plan was captured starts a fresh
+        epoch on the current circuit.
+        """
         rng = np.random.default_rng(seed)
         nl = _random_netlist(rng, int(rng.integers(15, 70)), 4)
         base, inc, node_map = _folded_incremental(nl)
@@ -184,9 +190,13 @@ class TestBatchedEvaluatorEquivalence:
                 applied = branch.tie(ties)
             except ValueError:
                 return  # cascade conflict: nothing to assert here
-            for node, value in applied.items():
-                if node < plan.n_nets:
-                    clamps[node] = value
+            if any(node >= plan.n_nets for node in applied):
+                with pytest.raises(ValueError, match="helper node"):
+                    branch.variant_spec(applied, n_parent_slots)
+                plan, n_parent_slots, clamps = \
+                    branch.plan(), len(branch.ops), {}
+            else:
+                clamps.update(applied)
         spec = branch.variant_spec(clamps, n_parent_slots)
         sim, = BatchedEvaluator(plan, n_vectors, packed).evaluate([spec])
         ref = branch.snapshot().to_netlist()
